@@ -1,0 +1,11 @@
+"""Make the benchmark's modules and the library importable from the tests:
+
+    python3 -m pytest perfbench/tests
+"""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(BENCH.parent / "src"))
+sys.path.insert(0, str(BENCH))
