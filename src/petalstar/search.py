@@ -2,12 +2,19 @@
 
 The four second-determinant functionals are certified by scanning their
 parameter domains on product grids and comparing the observed extrema with
-the claimed sharp bounds:
+the claimed sharp bounds.  Every scan runs on the same two-dimensional core:
+a first parameter ``x`` on an interval times a point ``zeta`` of the closed
+unit disk on a polar grid, refined around the incumbent.
 
-* The two Hankel functionals are scanned in the full parameter triple
-  ``(zeta1, zeta2, zeta3)``.  They are affine in ``zeta3``, so the modulus
-  is maximized on the boundary circle ``|zeta3| = 1``; the scan exploits
-  that (and a test validates it against a full-disk scan).
+* The two Hankel functionals take ``x = zeta1 in [0, 1]`` and
+  ``zeta = zeta2``.  They are affine in the third parameter,
+  ``alpha(zeta1, zeta2) + beta(zeta1, |zeta2|) zeta3``, so ``zeta3`` is
+  eliminated in closed form: over ``|zeta3| <= 1`` the modulus peaks at
+  ``|alpha| + |beta|`` (``zeta3`` lines ``beta zeta3`` up with ``alpha``)
+  and bottoms out at ``max(|alpha| - |beta|, 0)``.  ``maximize`` uses the
+  exact elimination by default; ``zeta3_mode="boundary"`` and ``"disk"``
+  instead take the largest modulus over a grid of the circle or of the
+  disk in ``zeta3``, and are kept as brute-force reference oracles.
 
 * The two Toeplitz functionals are scanned in the reduced parameters
   ``(p1, zeta)`` with ``p1 in [0, 2]`` and ``zeta`` in the closed disk.
@@ -122,7 +129,9 @@ class BoundReport:
     """Outcome of one scan, serializable with all fields.
 
     ``deviation`` is ``sharp_bound - observed_max``; for a max scan it is
-    the sharpness gap and must be nonnegative up to numeric tolerance.
+    the sharpness gap and must be nonnegative up to numeric tolerance.  A
+    negative gap (an unsound scan) is reported, not raised, so that callers
+    such as the ``verify`` command can print the report and fail on it.
     ``objective`` records what was scanned: the functional ``modulus`` or
     the Toeplitz proof ``majorant``.
     """
@@ -136,13 +145,6 @@ class BoundReport:
     deviation: float
     samples: int
     seed: int
-
-    def __post_init__(self):
-        if self.mode == "max" and self.observed_max > self.sharp_bound + 1e-6:
-            raise DomainViolation(
-                f"observed maximum {self.observed_max} exceeds the certified "
-                f"bound {self.sharp_bound}; the scan is unsound"
-            )
 
     def to_dict(self) -> dict:
         return {
@@ -205,7 +207,8 @@ def _scan_extremum(build_vals, n0: int, inner_size: int, threads: int, mode: str
 
     Returns ``(value, multi_index)`` where ties resolve to the first flat
     index in C order (lexicographic over the grid axes).  Chunks are always
-    reduced in index order, so the result is independent of ``threads``.
+    reduced in index order, so the result is independent of ``threads``;
+    a single chunk runs inline, where a thread pool would only add overhead.
     """
     chunk = max(1, _CHUNK_BUDGET // max(1, inner_size))
     spans = [(s, min(s + chunk, n0)) for s in range(0, n0, chunk)]
@@ -216,7 +219,7 @@ def _scan_extremum(build_vals, n0: int, inner_size: int, threads: int, mode: str
         flat = int(np.argmax(vals) if mode == "max" else np.argmin(vals))
         return float(vals.flat[flat]), i0, flat, vals.shape
 
-    if threads > 1:
+    if threads > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(work, spans))
     else:
@@ -230,138 +233,99 @@ def _scan_extremum(build_vals, n0: int, inner_size: int, threads: int, mode: str
     return best
 
 
-def _scan_hankel(kernel, grid: GridSpec, mode: str, threads: int,
-                 zeta3_mode: str = "boundary"):
-    """Scan |kernel| over the parameter triple.  Returns
-    ``(value, argmax_params, samples)`` with params
-    ``(zeta1, zeta2, zeta3)``."""
-    if zeta3_mode not in ("boundary", "disk"):
-        raise DomainViolation("zeta3_mode must be 'boundary' or 'disk'")
-    if zeta3_mode == "disk" and grid.refine_rounds != 0:
-        raise DomainViolation("the full-disk zeta3 scan supports no refinement")
+def _scan(objective, x_hi: float, grid: GridSpec, mode: str, threads: int,
+          depth: int = 1):
+    """Scan ``objective`` over ``x in [0, x_hi]`` times the closed unit disk.
 
-    two_pi = 2.0 * math.pi
-    win = {"z1": (0.0, 1.0), "r": (0.0, 1.0), "t2": (0.0, two_pi), "t3": (0.0, two_pi)}
-    best_val = None
-    best_params = None
-    samples = 0
-
-    for rnd in range(grid.refine_rounds + 1):
-        first = rnd == 0
-        z1 = _axis(*win["z1"], grid.zeta1_steps)
-        r = _axis(*win["r"], grid.radial_steps)
-        t2 = _axis(*win["t2"], grid.angular_steps, periodic=first)
-        t3 = _axis(*win["t3"], grid.angular_steps, periodic=first)
-
-        if mode == "max":
-            if zeta3_mode == "boundary":
-                z3flat = np.exp(1j * t3)
-            else:
-                z3flat = (r[:, None] * np.exp(1j * t3)[None, :]).ravel()
-            z2g = (r[:, None] * np.exp(1j * t2)[None, :])[None, :, :, None]
-            z3g = z3flat[None, None, None, :]
-
-            def build(i0, i1):
-                z1c = z1[i0:i1][:, None, None, None]
-                return np.abs(kernel(z1c, z2g, z3g))
-
-            inner = grid.radial_steps * grid.angular_steps * z3flat.size
-            val, idx = _scan_extremum(build, z1.size, inner, threads, mode)
-            i, j, k, l = idx
-            params = (float(z1[i]), complex(r[j] * np.exp(1j * t2[k])), complex(z3flat[l]))
-            t3_center = float(np.angle(z3flat[l])) % two_pi
-        else:
-            # the functional is affine in zeta3, so its modulus minimum over
-            # the zeta3 disk is max(|alpha| - |beta|, 0) at each (zeta1, zeta2)
-            z2g = (r[:, None] * np.exp(1j * t2)[None, :])[None, :, :]
-
-            def build(i0, i1):
-                z1c = z1[i0:i1][:, None, None]
-                alpha = kernel(z1c, z2g, 0.0)
-                beta = kernel(z1c, z2g, 1.0) - alpha
-                return np.maximum(np.abs(alpha) - np.abs(beta), 0.0)
-
-            inner = grid.radial_steps * grid.angular_steps
-            val, idx = _scan_extremum(build, z1.size, inner, threads, mode)
-            i, j, k = idx
-            z1s, z2s = float(z1[i]), complex(r[j] * np.exp(1j * t2[k]))
-            alpha = complex(kernel(z1s, z2s, 0.0))
-            beta = complex(kernel(z1s, z2s, 1.0)) - alpha
-            if abs(beta) == 0.0 or abs(alpha) == 0.0:
-                z3s = 0j
-            else:
-                z3s = -alpha * np.conj(beta) / (abs(alpha) * abs(beta)) * min(
-                    abs(alpha) / abs(beta), 1.0
-                )
-            params = (z1s, z2s, complex(z3s))
-            t3_center = float(np.angle(params[2])) % two_pi
-
-        samples += z1.size * inner
-        better = best_val is None or (
-            val > best_val if mode == "max" else val < best_val
-        )
-        if better:
-            best_val, best_params = val, params
-
-        z1c_, z2c_, _ = best_params
-        win["z1"] = _shrink(*win["z1"], z1c_, grid.refine_shrink, 0.0, 1.0)
-        win["r"] = _shrink(*win["r"], abs(z2c_), grid.refine_shrink, 0.0, 1.0)
-        win["t2"] = _shrink(*win["t2"], float(np.angle(z2c_)) % two_pi, grid.refine_shrink)
-        win["t3"] = _shrink(*win["t3"], t3_center, grid.refine_shrink)
-
-    return best_val, best_params, samples
-
-
-def _scan_toeplitz(objective, grid: GridSpec, mode: str, threads: int,
-                   phase_free: bool):
-    """Scan over ``(p1, zeta)``; ``objective(p1, zeta_or_t)`` must broadcast.
-
-    ``phase_free`` marks objectives depending on ``|zeta|`` only (the
-    majorants); the angular axis is still part of the recorded grid, with
-    the lexicographic tie-break pinning the first angle.
+    ``objective(x, r, zeta)`` receives the blocks ``x`` of shape ``(n, 1, 1)``,
+    ``r`` of shape ``(1, R, 1)`` and ``zeta = r e^{it}`` of shape ``(1, R, A)``
+    and returns real values broadcastable to ``(n, R, A)``; objectives of
+    ``r`` alone leave the angular axis to the lexicographic tie-break, which
+    pins its first angle.  ``depth`` is the number of points ``objective``
+    evaluates per grid node, for the chunk budget and the sample count.
+    Returns ``(value, (x, zeta), samples)``.
     """
     two_pi = 2.0 * math.pi
-    win = {"p1": (0.0, 2.0), "r": (0.0, 1.0), "t": (0.0, two_pi)}
+    win = {"x": (0.0, x_hi), "r": (0.0, 1.0), "t": (0.0, two_pi)}
+    shape = (grid.radial_steps, grid.angular_steps)
+    inner = grid.radial_steps * grid.angular_steps * depth
     best_val = None
     best_params = None
     samples = 0
 
     for rnd in range(grid.refine_rounds + 1):
-        p1 = _axis(*win["p1"], grid.zeta1_steps)
+        x = _axis(*win["x"], grid.zeta1_steps)
         r = _axis(*win["r"], grid.radial_steps)
         t = _axis(*win["t"], grid.angular_steps, periodic=rnd == 0)
-        shape = (grid.radial_steps, grid.angular_steps)
+        rg = r[None, :, None]
+        zg = (r[:, None] * np.exp(1j * t)[None, :])[None, :, :]
 
-        if phase_free:
-            def build(i0, i1):
-                p1c = p1[i0:i1][:, None, None]
-                vals = objective(p1c, r[None, :, None])
-                return np.broadcast_to(vals, (vals.shape[0],) + shape)
-        else:
-            zg = (r[:, None] * np.exp(1j * t)[None, :])[None, :, :]
+        def build(i0, i1):
+            vals = objective(x[i0:i1][:, None, None], rg, zg)
+            return np.broadcast_to(vals, (i1 - i0,) + shape)
 
-            def build(i0, i1):
-                p1c = p1[i0:i1][:, None, None]
-                return np.abs(objective(p1c, zg))
+        val, (i, j, k) = _scan_extremum(build, x.size, inner, threads, mode)
+        samples += x.size * inner
+        if best_val is None or (val > best_val if mode == "max" else val < best_val):
+            best_val, best_params = val, (float(x[i]), complex(r[j] * np.exp(1j * t[k])))
 
-        inner = grid.radial_steps * grid.angular_steps
-        val, idx = _scan_extremum(build, p1.size, inner, threads, mode)
-        i, j, k = idx
-        params = (float(p1[i]), complex(r[j] * np.exp(1j * t[k])))
-        samples += p1.size * inner
-
-        better = best_val is None or (
-            val > best_val if mode == "max" else val < best_val
-        )
-        if better:
-            best_val, best_params = val, params
-
-        win["p1"] = _shrink(*win["p1"], best_params[0], grid.refine_shrink, 0.0, 2.0)
-        win["r"] = _shrink(*win["r"], abs(best_params[1]), grid.refine_shrink, 0.0, 1.0)
-        win["t"] = _shrink(*win["t"], float(np.angle(best_params[1])) % two_pi,
-                           grid.refine_shrink)
+        x_c, z_c = best_params
+        win["x"] = _shrink(*win["x"], x_c, grid.refine_shrink, 0.0, x_hi)
+        win["r"] = _shrink(*win["r"], abs(z_c), grid.refine_shrink, 0.0, 1.0)
+        win["t"] = _shrink(*win["t"], float(np.angle(z_c)) % two_pi, grid.refine_shrink)
 
     return best_val, best_params, samples
+
+
+def _zeta3_grid(zeta3_mode: str, grid: GridSpec) -> np.ndarray:
+    """The ``zeta3`` points a brute-force oracle takes the maximum over."""
+    t3 = _axis(0.0, 2.0 * math.pi, grid.angular_steps, periodic=True)
+    if zeta3_mode == "boundary":
+        return np.exp(1j * t3)
+    r3 = _axis(0.0, 1.0, grid.radial_steps)
+    return (r3[:, None] * np.exp(1j * t3)[None, :]).ravel()
+
+
+def _hankel_objective(kernel, grid: GridSpec, mode: str, zeta3_mode: str):
+    """The ``(zeta1, zeta2)`` objective of ``|kernel|`` for :func:`_scan`.
+
+    Returns ``(objective, depth, zeta3_at)``; ``zeta3_at(zeta1, zeta2)`` is
+    the ``zeta3`` at which the objective's value is attained.
+    """
+    if zeta3_mode not in ("exact", "boundary", "disk"):
+        raise DomainViolation("zeta3_mode must be 'exact', 'boundary' or 'disk'")
+
+    if mode == "max" and zeta3_mode != "exact":
+        z3_grid = _zeta3_grid(zeta3_mode, grid)
+
+        def oracle(z1, _r, z2):
+            return np.abs(kernel(z1[..., None], z2[..., None], z3_grid)).max(axis=-1)
+
+        def oracle_zeta3(z1, z2):
+            return z3_grid[int(np.argmax(np.abs(kernel(z1, z2, z3_grid))))]
+
+        return oracle, z3_grid.size, oracle_zeta3
+
+    def split(z1, z2):
+        alpha = kernel(z1, z2, 0.0)
+        return alpha, kernel(z1, z2, 1.0) - alpha
+
+    def objective(z1, _r, z2):
+        alpha, beta = split(z1, z2)
+        if mode == "max":
+            return np.abs(alpha) + np.abs(beta)
+        return np.maximum(np.abs(alpha) - np.abs(beta), 0.0)
+
+    def zeta3_at(z1, z2):
+        alpha, beta = (complex(v) for v in split(z1, z2))
+        if alpha == 0.0 or beta == 0.0:
+            return 1.0 if mode == "max" else 0.0
+        # the unit phase lining beta zeta3 up with alpha; the minimum takes
+        # the opposite phase, shortened until beta zeta3 cancels alpha
+        z3 = alpha * beta.conjugate() / (abs(alpha) * abs(beta))
+        return z3 if mode == "max" else -z3 * min(abs(alpha) / abs(beta), 1.0)
+
+    return objective, 1, zeta3_at
 
 
 _HANKEL_KERNELS = {
@@ -380,48 +344,41 @@ _TOEPLITZ_REDUCED = {
 }
 
 
-def _hankel_argrecord(params) -> dict:
-    z1, z2, z3 = params
-    return {
-        "zeta1": z1,
-        "zeta2_re": z2.real,
-        "zeta2_im": z2.imag,
-        "zeta3_re": z3.real,
-        "zeta3_im": z3.imag,
-    }
-
-
-def _toeplitz_argrecord(params) -> dict:
-    p1, z = params
-    return {"p1": p1, "zeta_re": z.real, "zeta_im": z.imag}
-
-
-def maximize(functional: FunctionalId, grid: GridSpec = None, seed: int = 0,
-             threads: int = 1, zeta3_mode: str = "boundary") -> BoundReport:
-    """Scan the parameter domain for the largest objective value and report
-    it against the certified sharp bound.
-
-    Hankel identifiers scan the functional modulus itself; Toeplitz
-    identifiers scan the proof majorant (see the module docstring).
-    """
+def _report(functional, grid: GridSpec, mode: str, seed: int, threads: int,
+            zeta3_mode: str = "exact") -> BoundReport:
     functional = FunctionalId(functional)
     grid = grid or GridSpec()
+    objective = "modulus"
     if functional in _HANKEL_KERNELS:
-        val, params, samples = _scan_hankel(
-            _HANKEL_KERNELS[functional], grid, "max", threads, zeta3_mode
+        scan_objective, depth, zeta3_at = _hankel_objective(
+            _HANKEL_KERNELS[functional], grid, mode, zeta3_mode
         )
-        argmax = _hankel_argrecord(params)
-        objective = "modulus"
+        val, (z1, z2), samples = _scan(scan_objective, 1.0, grid, mode, threads, depth)
+        z3 = complex(zeta3_at(z1, z2))
+        argmax = {
+            "zeta1": z1,
+            "zeta2_re": z2.real,
+            "zeta2_im": z2.imag,
+            "zeta3_re": z3.real,
+            "zeta3_im": z3.imag,
+        }
     else:
-        val, params, samples = _scan_toeplitz(
-            _TOEPLITZ_MAJORANTS[functional], grid, "max", threads, phase_free=True
-        )
-        argmax = _toeplitz_argrecord(params)
-        objective = "majorant"
+        if mode == "max":
+            majorant = _TOEPLITZ_MAJORANTS[functional]
+            objective = "majorant"
+            val, (p1, z), samples = _scan(
+                lambda x, r, _z: majorant(x, r), 2.0, grid, mode, threads
+            )
+        else:
+            reduced = _TOEPLITZ_REDUCED[functional]
+            val, (p1, z), samples = _scan(
+                lambda x, _r, zg: np.abs(reduced(x, zg)), 2.0, grid, mode, threads
+            )
+        argmax = {"p1": p1, "zeta_re": z.real, "zeta_im": z.imag}
     bound = SHARP_BOUNDS[functional]
     return BoundReport(
         functional=functional.value,
-        mode="max",
+        mode=mode,
         objective=objective,
         observed_max=val,
         argmax=argmax,
@@ -430,6 +387,22 @@ def maximize(functional: FunctionalId, grid: GridSpec = None, seed: int = 0,
         samples=samples,
         seed=seed,
     )
+
+
+def maximize(functional: FunctionalId, grid: GridSpec = None, seed: int = 0,
+             threads: int = 1, zeta3_mode: str = "exact") -> BoundReport:
+    """Scan the parameter domain for the largest objective value and report
+    it against the certified sharp bound.
+
+    Hankel identifiers scan the functional modulus itself, with ``zeta3``
+    eliminated exactly by default.  ``zeta3_mode="boundary"`` or ``"disk"``
+    selects a brute-force reference oracle instead, which evaluates every
+    grid node at ``angular_steps`` points of the circle ``|zeta3| = 1`` or
+    at the ``radial_steps x angular_steps`` polar grid of the disk; both
+    count those evaluations in ``samples``.  Toeplitz identifiers scan the
+    proof majorant (see the module docstring) and ignore ``zeta3_mode``.
+    """
+    return _report(functional, grid, "max", seed, threads, zeta3_mode)
 
 
 def minimize_modulus(functional: FunctionalId, grid: GridSpec = None,
@@ -441,30 +414,7 @@ def minimize_modulus(functional: FunctionalId, grid: GridSpec = None,
     are not domain-wide facts; they are attained-value statements covered
     by the extremal witnesses instead.
     """
-    functional = FunctionalId(functional)
-    grid = grid or GridSpec()
-    if functional in _HANKEL_KERNELS:
-        val, params, samples = _scan_hankel(
-            _HANKEL_KERNELS[functional], grid, "min", threads
-        )
-        argmax = _hankel_argrecord(params)
-    else:
-        val, params, samples = _scan_toeplitz(
-            _TOEPLITZ_REDUCED[functional], grid, "min", threads, phase_free=False
-        )
-        argmax = _toeplitz_argrecord(params)
-    bound = SHARP_BOUNDS[functional]
-    return BoundReport(
-        functional=functional.value,
-        mode="min",
-        objective="modulus",
-        observed_max=val,
-        argmax=argmax,
-        sharp_bound=bound,
-        deviation=bound - val,
-        samples=samples,
-        seed=seed,
-    )
+    return _report(functional, grid, "min", seed, threads)
 
 
 # -- proof-replication checks --------------------------------------------------

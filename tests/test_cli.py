@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from petalstar import search
 from petalstar.cli import main
 
 
@@ -112,6 +113,20 @@ def test_verify_failure_exit_code(capsys):
     )
     assert code == 1
     json.loads(out)  # the reports are still emitted
+
+
+def test_verify_unsound_scan_reports(capsys, monkeypatch):
+    # a scan exceeding its bound is a verification failure with a report,
+    # not an argument error
+    monkeypatch.setitem(search.SHARP_BOUNDS, search.FunctionalId.HANKEL_LOG, 0.01)
+    code, out, _ = run(
+        capsys, "verify", "--functional", "hankel-log", "--zeta1-steps", "11",
+        "--radial-steps", "5", "--angular-steps", "8", "--refine-rounds", "0",
+    )
+    assert code == 1
+    (rep,) = json.loads(out)
+    assert rep["sharp_bound"] == 0.01
+    assert rep["observed_max"] > rep["sharp_bound"]
 
 
 def test_classcheck(capsys):

@@ -28,6 +28,21 @@ def test_grid_guard():
         quad_disk_max_grid(1, 1, 1, 100, 3)
 
 
+def test_grid_oracle_matches_full_grid():
+    # the oracle scans the upper half grid only; real coefficients make the
+    # objective conjugation-symmetric, so the full grid has the same maximum.
+    # The full grid's lower-half nodes exp(i (2 pi - t)) differ from
+    # conj(exp(i t)) by rounding, which moves the maximum by a few ulps.
+    r = np.linspace(0.0, 1.0, 600)[:, None]
+    t = np.linspace(0.0, 2.0 * np.pi, 600, endpoint=False)[None, :]
+    z = r * np.exp(1j * t)
+    rng = np.random.default_rng(SEED + 33)
+    for _ in range(50):
+        a, b, c = rng.uniform(-2, 2, 3)
+        full = float((np.abs(a + b * z + c * (z * z)) + (1.0 - r * r)).max())
+        assert abs(quad_disk_max_grid(a, b, c) - full) <= 4 * np.spacing(full), (a, b, c)
+
+
 def test_oracle_agreement_coarse():
     # coarse version of the certification sweep (the full one runs in the
     # acceptance suite): lattice corners plus random triples

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +29,9 @@ from petalstar import (
     toeplitz_log_majorant,
     toeplitz_log_reduced,
 )
+from petalstar import caratheodory as cth
 from petalstar.errors import DomainViolation
+from petalstar.search import _hankel_objective
 
 COARSE = GridSpec(zeta1_steps=21, radial_steps=9, angular_steps=16, refine_rounds=1)
 
@@ -91,6 +94,57 @@ def test_boundary_vs_disk_zeta3_scan():
         b = maximize(fid, grid, zeta3_mode="disk")
         assert a.observed_max == pytest.approx(b.observed_max, abs=1e-14)
         assert b.samples == a.samples * grid.radial_steps
+
+
+def test_exact_zeta3_matches_oracles():
+    # exact elimination finds the oracles' maximum on the criterion-5 grid
+    # and evaluates one point per (zeta1, zeta2) grid node and round
+    grid = GridSpec(zeta1_steps=11, radial_steps=7, angular_steps=12, refine_rounds=0)
+    for fid in (FunctionalId.HANKEL_LOG, FunctionalId.HANKEL_INVLOG):
+        exact = maximize(fid, grid)
+        boundary = maximize(fid, grid, zeta3_mode="boundary")
+        disk = maximize(fid, grid, zeta3_mode="disk")
+        assert exact.observed_max == pytest.approx(boundary.observed_max, abs=1e-14)
+        assert exact.observed_max == pytest.approx(disk.observed_max, abs=1e-14)
+        assert exact.samples == 11 * 7 * 12
+        assert boundary.samples == exact.samples * 12
+        assert maximize(fid, COARSE).samples == 21 * 9 * 16 * (COARSE.refine_rounds + 1)
+    with pytest.raises(DomainViolation):
+        maximize(FunctionalId.HANKEL_LOG, grid, zeta3_mode="interior")
+
+
+@pytest.mark.parametrize("kernel", [cth._hankel_log_zeta, cth._hankel_invlog_zeta])
+def test_exact_zeta3_elimination_pointwise(kernel):
+    # |alpha| + |beta| bounds a fine boundary zeta3 scan from above and is
+    # attained at the reported unit-modulus zeta3
+    objective, depth, zeta3_at = _hankel_objective(kernel, GridSpec(), "max", "exact")
+    assert depth == 1
+    circle = np.exp(2j * math.pi * np.arange(4096) / 4096)
+    rng = np.random.default_rng(SEED + 42)
+    for _ in range(200):
+        z1 = float(rng.uniform())
+        z2 = complex(math.sqrt(rng.uniform()) * np.exp(2j * math.pi * rng.uniform()))
+        exact = float(objective(np.asarray(z1), None, np.asarray(z2)))
+        sampled = float(np.abs(kernel(z1, z2, circle)).max())
+        assert sampled <= exact + 1e-15
+        assert exact - sampled <= 1e-6
+        z3 = complex(zeta3_at(z1, z2))
+        assert abs(abs(z3) - 1.0) <= 1e-15
+        assert abs(abs(kernel(z1, z2, z3)) - exact) <= 1e-15
+
+
+_REFERENCE = json.loads((Path(__file__).parent / "data" / "reference_reports.json").read_text())
+
+
+@pytest.mark.parametrize("key", sorted(_REFERENCE))
+def test_reports_match_reference(key):
+    # Toeplitz max and all min scans reproduce, byte for byte, the reports
+    # recorded from the earlier separate Hankel and Toeplitz scan loops
+    mode, grid_name, fid = key.split("/")
+    grid = COARSE if grid_name == "coarse" else GridSpec()
+    scan = maximize if mode == "max" else minimize_modulus
+    rep = scan(FunctionalId(fid), grid)
+    assert json.dumps(rep.to_dict()) == json.dumps(_REFERENCE[key])
 
 
 def test_hankel_argmax_consistency():
