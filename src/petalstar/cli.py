@@ -181,7 +181,7 @@ def _cmd_classcheck(args) -> int:
     radii = [args.max_radius * (i + 1) / args.radii for i in range(args.radii)]
     report = class_check(f, radii, args.angles)
     _emit(report.to_dict())
-    return 0
+    return 0 if report.min_margin > 0.0 else 1
 
 
 def _cmd_envelope(_args) -> int:

@@ -117,8 +117,9 @@ class ClassCheckReport:
 
     ``min_margin`` is the smallest value of ``1 - |sinh(q(z) - 1)|`` over
     the samples; a positive margin is consistent with class membership.
-    ``tail_estimate`` is ``|c_N| r_max^N``, a crude indicator of how much
-    the series truncation can distort samples at the largest radius.
+    ``tail_estimate`` is ``|c_m| r_max^m`` for the highest-index nonzero
+    coefficient ``c_m``, a crude indicator of how much the series
+    truncation can distort samples at the largest radius.
     """
 
     min_margin: float
@@ -154,28 +155,22 @@ def class_check(f: SchlichtSeries, radii, angles: int = 64) -> ClassCheckReport:
     if angles < 1:
         raise DomainViolation("need at least one angle")
 
-    fprime = differentiate(f)
-    worst = np.inf
-    worst_z = 0j
-    count = 0
-    for r in radii:
-        for t in np.linspace(0.0, 2.0 * np.pi, angles, endpoint=False):
-            z = r * np.exp(1j * t)
-            fz = f(z)
-            if abs(fz) < _SAMPLE_EPS:
-                raise SingularSample(f"|f(z)| < {_SAMPLE_EPS} at z = {z}")
-            q = z * fprime(z) / fz
-            margin = 1.0 - abs(np.sinh(q - 1.0))
-            count += 1
-            if margin < worst:
-                worst = margin
-                worst_z = z
+    t = np.linspace(0.0, 2.0 * np.pi, angles, endpoint=False)
+    z = (radii[:, None] * np.exp(1j * t)).ravel()
+    fz = np.polyval(f.coeffs[::-1], z)
+    singular = np.abs(fz) < _SAMPLE_EPS
+    if singular.any():
+        raise SingularSample(f"|f(z)| < {_SAMPLE_EPS} at z = {z[singular.argmax()]}")
+    q = z * np.polyval(differentiate(f).coeffs[::-1], z) / fz
+    margin = 1.0 - np.abs(np.sinh(q - 1.0))
+    worst = int(margin.argmin())
     rmax = float(radii.max())
-    tail = float(abs(f.coeffs[-1]) * rmax ** f.order)
+    top = np.flatnonzero(f.coeffs)[-1]
+    tail = float(abs(f.coeffs[top]) * rmax ** top)
     return ClassCheckReport(
-        min_margin=float(worst),
-        worst_point=complex(worst_z),
-        samples=count,
+        min_margin=float(margin[worst]),
+        worst_point=complex(z[worst]),
+        samples=z.size,
         order=f.order,
         max_radius=rmax,
         tail_estimate=tail,

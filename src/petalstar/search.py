@@ -164,7 +164,7 @@ def toeplitz_log_majorant(p1, t):
     """Term-wise absolute-value majorant of the reduced log-Toeplitz form:
     ``(p1^4 t^2 + 16 t^2 + 16 p1^2 + 8 p1^2 t^2) / 256`` with ``t = |zeta|``.
 
-    Dominates ``|toeplitz_log_reduced(p1, zeta)]`` for every phase of
+    Dominates ``|toeplitz_log_reduced(p1, zeta)|`` for every phase of
     ``zeta`` and peaks at the corner ``(2, 1)`` with value 1/2.
     """
     u = p1 ** 2

@@ -8,7 +8,9 @@ workers.
 
 Binary operations truncate to the smaller operand order.  Composition and
 reversion are exact at the truncation order: the first ``N`` coefficients of
-the result equal those of the exact (untruncated) operation.
+the result equal those of the exact (untruncated) operation.  Composition is
+Horner's scheme in the outer series; reversion is Lagrange inversion, which
+reads each coefficient of the inverse off a power of ``z / f(z)``.
 """
 
 from __future__ import annotations
@@ -228,19 +230,18 @@ def compose(outer: Series, inner: Series) -> Series:
 def revert(f: Series) -> Series:
     """Compositional inverse ``F`` with ``compose(f, F) = z`` up to order.
 
-    Solved coefficient by coefficient from the identity ``f(F(w)) = w``:
-    at each degree ``n`` the unknown ``F_n`` enters linearly with factor
-    ``c1``, so the residual of the partial composition determines it.
+    Lagrange inversion: ``F_n = [w^(n-1)] u^n / (n c1^n)`` for the powers
+    of ``u = c1 w / f(w)``, each one truncated convolution from the last.
     """
-    if f.coeffs[0] != 0 or abs(f.coeffs[1]) == 0:
+    if f.order < 1 or f.coeffs[0] != 0 or f.coeffs[1] == 0:
         raise NotInvertibleAtOrigin("reversion needs c0 = 0 and c1 != 0")
-    n = f.order
+    n, c1 = f.order, f.coeffs[1]
+    u = (Series.one(n - 1) / Series(f.coeffs[1:] / c1)).coeffs
     inv = np.zeros(n + 1, dtype=complex)
-    if n >= 1:
-        inv[1] = 1.0 / f.coeffs[1]
-    for k in range(2, n + 1):
-        partial = compose(Series(f.coeffs[: k + 1]), Series(inv[: k + 1]))
-        inv[k] = -partial.coeffs[k] / f.coeffs[1]
+    power = np.ones(1, dtype=complex)
+    for k in range(1, n + 1):
+        power = np.convolve(power, u)[:n]
+        inv[k] = power[k - 1] / (k * c1 ** k)
     return Series(inv)
 
 

@@ -138,6 +138,14 @@ def test_classcheck(capsys):
     assert data["order"] == 30
 
 
+def test_classcheck_failure_exits_1(capsys):
+    # f2's amplitude |c| = sqrt(8) > 1 puts it outside the class
+    code, out, _ = run(capsys, "classcheck", "--preset", "f2", "--max-radius", "0.9",
+                       "--order", "30")
+    assert code == 1
+    assert json.loads(out)["min_margin"] < 0
+
+
 def test_classcheck_bad_radius(capsys):
     code, _, err = run(capsys, "classcheck", "--preset", "f0", "--max-radius", "1.5")
     assert code == 2

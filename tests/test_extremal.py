@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from conftest import SEED
 from petalstar import (
     PRESETS,
     ExtremalSpec,
     SchlichtSeries,
     build_extremal,
     class_check,
+    differentiate,
     in_petal,
     petal_map,
     preset,
@@ -90,6 +92,47 @@ def test_class_check_f0_inside():
     assert rep.min_margin > 0
     assert rep.tail_estimate < 1e-3
     assert rep.samples == 5 * 48
+
+
+def reference_margins(f, radii, angles):
+    """The scalar sample loop: ``1 - |sinh(z f'(z)/f(z) - 1)|`` per sample,
+    radius-major, evaluated by Python Horner at each point."""
+    fprime = differentiate(f)
+    out = []
+    for r in radii:
+        for t in np.linspace(0.0, 2.0 * np.pi, angles, endpoint=False):
+            z = r * np.exp(1j * t)
+            out.append((z, 1.0 - abs(np.sinh(z * fprime(z) / f(z) - 1.0))))
+    return out
+
+
+def test_class_check_matches_scalar_loop():
+    rng = np.random.default_rng(SEED + 5)
+    radii = (0.3, 0.6, 0.9)
+    for _ in range(30):
+        c = np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+        f = build_extremal(ExtremalSpec(complex(c), int(rng.integers(1, 4))),
+                           int(rng.integers(10, 41)))
+        rep = class_check(f, radii, angles=64)
+        ref = reference_margins(f, radii, 64)
+        m = min(margin for _, margin in ref)
+        tol = 1e-14 * max(1.0, abs(m))
+        assert rep.samples == len(ref)
+        assert abs(rep.min_margin - m) <= tol
+        # the vectorized kernel may round a near-tie differently, but the
+        # point it returns must be a minimizer of the reference loop
+        z, margin = min(ref, key=lambda sample: abs(sample[0] - rep.worst_point))
+        assert abs(z - rep.worst_point) <= 1e-15
+        assert abs(margin - m) <= tol
+
+
+def test_class_check_tail_skips_structural_zeros():
+    # k = 2 extremals are odd, so at even order the top coefficient is 0
+    for name in ("f1", "f2"):
+        f = preset(name, 30)
+        assert f.coeffs[30] == 0
+        rep = class_check(f, [0.45, 0.9], angles=8)
+        assert rep.tail_estimate == pytest.approx(abs(f.coeffs[29]) * 0.9 ** 29, rel=1e-14)
 
 
 def test_class_check_koebe_exits():

@@ -1,5 +1,7 @@
 """Series kernel: arithmetic, composition, reversion, special expansions."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -152,11 +154,25 @@ def test_revert_roundtrip_random():
         assert residual(back, Series.identity(order)) <= 1e-10
 
 
+def test_revert_catalan_closed_form():
+    # w = a F + b F^2 inverts to F_n = (-1)^(n-1) C_(n-1) b^(n-1) / a^(2n-1),
+    # C_m the m-th Catalan number; a != 1 exercises the c1 normalization
+    a, b, n = 2 - 1j, 0.5 + 0.3j, 40
+    out = revert(S(0, a, b, *([0] * (n - 2))))
+    m = np.arange(1, n + 1)
+    catalan = np.array([math.comb(2 * k, k) // (k + 1) for k in range(n)], dtype=float)
+    want = (-1.0) ** (m - 1) * catalan * b ** (m - 1) / a ** (2 * m - 1)
+    assert out.coeffs[0] == 0
+    assert np.abs(out.coeffs[1:] / want - 1).max() <= 1e-12
+
+
 def test_revert_requires_origin_fixed():
     with pytest.raises(NotInvertibleAtOrigin):
         revert(S(1, 1, 0))
     with pytest.raises(NotInvertibleAtOrigin):
         revert(S(0, 0, 1))
+    with pytest.raises(NotInvertibleAtOrigin):  # no linear term at order 0
+        revert(S(0))
 
 
 # -- log / exp / integrate -----------------------------------------------------
