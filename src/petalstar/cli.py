@@ -75,7 +75,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-3,
                    help="largest admissible sharpness gap")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; scans run on one thread")
     p.add_argument("--format", default="json", choices=["json", "csv"])
 
     p = sub.add_parser("ymax", help="disk maximizer of |A + Bz + Cz^2| + 1 - |z|^2")

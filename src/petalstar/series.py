@@ -220,11 +220,12 @@ def compose(outer: Series, inner: Series) -> Series:
     if inner.coeffs[0] != 0:
         raise NonzeroInnerConstant("inner series must have zero constant term")
     n = min(outer.order, inner.order)
-    inner_t = Series(inner.coeffs[: n + 1])
-    acc = Series.zero(n)
+    b = inner.coeffs[: n + 1]
+    acc = np.zeros(n + 1, dtype=complex)
     for c in outer.coeffs[n::-1]:
-        acc = acc * inner_t + c
-    return acc
+        acc = np.convolve(acc, b)[: n + 1]
+        acc[0] += c
+    return Series(acc)
 
 
 def revert(f: Series) -> Series:
@@ -254,10 +255,7 @@ def log_over_z(f: Series) -> Series:
         raise NotNormalized("log_over_z needs c0 = 0 and c1 = 1")
     g = Series(f.coeffs[1:])  # f / z, constant term 1
     d = differentiate(g) / g  # (log g)' to order g.order - 1
-    out = np.zeros(g.order + 1, dtype=complex)
-    for k in range(1, g.order + 1):
-        out[k] = d.coeffs[k - 1] / k
-    return Series(out)
+    return Series(np.concatenate(([0j], d.coeffs / np.arange(1, g.order + 1))))
 
 
 def exp_series(f: Series) -> Series:
@@ -281,10 +279,7 @@ def integrate_over_t(f: Series) -> Series:
     """
     if f.coeffs[0] != 0:
         raise NonzeroConstant("integrand f(t)/t would be singular at t = 0")
-    out = np.zeros(f.order + 1, dtype=complex)
-    for k in range(1, f.order + 1):
-        out[k] = f.coeffs[k] / k
-    return Series(out)
+    return Series(np.concatenate(([0j], f.coeffs[1:] / np.arange(1, f.order + 1))))
 
 
 def asinh_series(c: complex, k: int, order: int) -> Series:

@@ -30,6 +30,7 @@ from petalstar import (
     toeplitz_log_reduced,
 )
 from petalstar import caratheodory as cth
+from petalstar import search
 from petalstar.errors import DomainViolation
 from petalstar.search import _hankel_objective
 
@@ -138,13 +139,39 @@ _REFERENCE = json.loads((Path(__file__).parent / "data" / "reference_reports.jso
 
 @pytest.mark.parametrize("key", sorted(_REFERENCE))
 def test_reports_match_reference(key):
-    # Toeplitz max and all min scans reproduce, byte for byte, the reports
-    # recorded from the earlier separate Hankel and Toeplitz scan loops
+    # all four max and min scans reproduce, byte for byte, reports recorded
+    # from earlier scan cores: the Toeplitz max and all min reports from the
+    # separate Hankel and Toeplitz loops, the Hankel max reports from the
+    # exact zeta3 elimination run as one block per pass
     mode, grid_name, fid = key.split("/")
     grid = COARSE if grid_name == "coarse" else GridSpec()
     scan = maximize if mode == "max" else minimize_modulus
     rep = scan(FunctionalId(fid), grid)
     assert json.dumps(rep.to_dict()) == json.dumps(_REFERENCE[key])
+
+
+_BLOCK_CASES = [
+    (scan, fid, zeta3_mode)
+    for fid in FunctionalId
+    for scan, zeta3_mode in ((maximize, "exact"), (minimize_modulus, None))
+] + [
+    (maximize, fid, zeta3_mode)
+    for fid in (FunctionalId.HANKEL_LOG, FunctionalId.HANKEL_INVLOG)
+    for zeta3_mode in ("boundary", "disk")
+]
+
+
+@pytest.mark.parametrize("scan, fid, zeta3_mode", _BLOCK_CASES)
+def test_block_size_invariance(monkeypatch, scan, fid, zeta3_mode):
+    # one grid row per block reduces to the same report as one block per
+    # pass, including the exact-zero minimum ties spread over many rows and
+    # the Toeplitz majorant, which is broadcast from r alone
+    kwargs = {} if zeta3_mode is None else {"zeta3_mode": zeta3_mode}
+    reports = []
+    for block_points in (1, 10 ** 9):
+        monkeypatch.setattr(search, "_BLOCK_POINTS", block_points)
+        reports.append(json.dumps(scan(fid, COARSE, **kwargs).to_dict()))
+    assert reports[0] == reports[1]
 
 
 def test_hankel_argmax_consistency():

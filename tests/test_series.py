@@ -218,6 +218,35 @@ def test_exp_series_rejects_constant():
         exp_series(S(1, 1))
 
 
+def test_array_kernels_match_coefficient_loops():
+    # compose, log_over_z and integrate_over_t do the same arithmetic as
+    # Horner through Series objects and per-coefficient division loops, so
+    # they must agree bit for bit, signs of zero included
+    def compose_loop(outer, inner):
+        n = min(outer.order, inner.order)
+        inner_t, acc = Series(inner.coeffs[: n + 1]), Series.zero(n)
+        for c in outer.coeffs[n::-1]:
+            acc = acc * inner_t + c
+        return acc.coeffs
+
+    def divide_loop(coeffs):
+        out = np.zeros(coeffs.size, dtype=complex)
+        for k in range(1, coeffs.size):
+            out[k] = coeffs[k] / k
+        return out
+
+    rng = np.random.default_rng(SEED + 9)
+    for _ in range(40):
+        f = random_schlicht(rng, int(rng.integers(2, 41)))
+        for g in (f, revert(f)):
+            assert compose(f, g).coeffs.tobytes() == compose_loop(f, g).tobytes()
+            g_over_z = Series(g.coeffs[1:])
+            d = (differentiate(g_over_z) / g_over_z).coeffs
+            expected = divide_loop(np.concatenate(([0j], d)))
+            assert log_over_z(g).coeffs.tobytes() == expected.tobytes()
+            assert integrate_over_t(g).coeffs.tobytes() == divide_loop(g.coeffs).tobytes()
+
+
 def test_integrate_over_t():
     assert residual(integrate_over_t(Series.identity(3)), Series.identity(3)) == 0
     assert residual(integrate_over_t(S(0, 0, 1)), S(0, 0, 0.5)) == 0
