@@ -146,6 +146,36 @@ def _hankel_invlog_zeta(z1, z2, z3):
     ) / 144.0
 
 
+# Both kernels are ``alpha + beta zeta3`` with real coefficient forms:
+# ``alpha = a0 + a1 zeta2 + a2 zeta2^2`` with ``a0, a1, a2`` depending on
+# ``zeta1`` alone, and the shared ``beta`` depends on ``zeta1`` and
+# ``|zeta2|`` alone.  The max scans screen with these real forms.
+
+
+def _hankel_log_alpha(z1):
+    """Real ``(a0, a1, a2)`` with ``_hankel_log_zeta(z1, z2, 0) =
+    a0 + a1 z2 + a2 z2^2``; ``a1`` is 0."""
+    u = z1 * z1
+    return -2.0 * u * u / 144.0, 0.0, (-9.0 + 6.0 * u + 3.0 * u * u) / 144.0
+
+
+def _hankel_invlog_alpha(z1):
+    """Real ``(a0, a1, a2)`` with ``_hankel_invlog_zeta(z1, z2, 0) =
+    a0 + a1 z2 + a2 z2^2``."""
+    u = z1 * z1
+    return (
+        16.0 * u * u / 144.0,
+        18.0 * u * (u - 1.0) / 144.0,
+        (-9.0 + 6.0 * u + 3.0 * u * u) / 144.0,
+    )
+
+
+def _hankel_beta(z1, r):
+    """The ``zeta3`` coefficient of both kernels at ``|zeta2| = r``:
+    ``12 z1 (1 - z1^2) (1 - r^2) / 144``, real and nonnegative."""
+    return 12.0 * z1 * (1.0 - z1 * z1) * ((1.0 - r * r) / 144.0)
+
+
 def hankel_log_from_zeta(point: CaratheodoryPoint) -> complex:
     """Zeta-variable log-Hankel value; equals the ``p``-path by substitution."""
     return complex(_hankel_log_zeta(point.zeta1, point.zeta2, point.zeta3))

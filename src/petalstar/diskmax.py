@@ -9,13 +9,15 @@ to certify every branch numerically.
 Ties on branch boundaries resolve to the first branch listed; adjacent
 branches agree there (continuity), which the oracle agreement test confirms.
 The fall-through branches are reached by explicit negation of the earlier
-conditions, so the function is total on finite inputs.  The square root in
-the last branch is only evaluated when ``A C < 0``, where its argument is
-``>= 1``.
+conditions, so the function is total on finite inputs; both functions
+reject non-finite coefficients with
+:class:`~petalstar.errors.DomainViolation`.  The square root in the last
+branch is only evaluated when ``A C < 0``, where its argument is ``>= 1``.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -25,8 +27,15 @@ from .errors import DomainViolation
 __all__ = ["quad_disk_max", "quad_disk_max_grid"]
 
 
+def _check_finite(a: float, b: float, c: float):
+    # NaN fails every branch condition and would reach 1 / c^2 with c = 0
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+        raise DomainViolation(f"coefficients must be finite, got ({a}, {b}, {c})")
+
+
 def quad_disk_max(a: float, b: float, c: float) -> float:
     """Closed-form maximum of ``|a + b z + c z^2| + 1 - |z|^2``, ``|z| <= 1``."""
+    _check_finite(a, b, c)
     aa, ab, ac = abs(a), abs(b), abs(c)
     if a * c >= 0.0:
         if ab >= 2.0 * (1.0 - ac):
@@ -76,6 +85,7 @@ def quad_disk_max_grid(a: float, b: float, c: float,
     must be real."""
     if radial < 2 or angular < 4:
         raise DomainViolation("grid needs radial >= 2 and angular >= 4")
+    _check_finite(a, b, c)
     z, z2, weight = _polar_grid(radial, angular)
     best = -np.inf
     for s in range(0, z.size, _ORACLE_BLOCK):

@@ -16,6 +16,15 @@ unit disk on a polar grid, refined around the incumbent.
   instead take the largest modulus over a grid of the circle or of the
   disk in ``zeta3``, and are kept as brute-force reference oracles.
 
+  The exact max scans screen each block with real coefficient forms:
+  ``alpha = a0 + a1 zeta2 + a2 zeta2^2`` with real ``a_k(zeta1)`` and
+  ``beta = 12 zeta1 (1 - zeta1^2) (1 - |zeta2|^2) / 144``, so ``|alpha| +
+  |beta|`` costs a few real passes instead of two complex kernel calls.
+  Screen values within a small margin of the block maximum are then
+  re-evaluated on the complex kernels and written back, so the argmax and
+  every reported value are the kernels' own, bit for bit (see
+  :func:`_screened_max`).
+
 * The two Toeplitz functionals are scanned in the reduced parameters
   ``(p1, zeta)`` with ``p1 in [0, 2]`` and ``zeta`` in the closed disk.
   The certified sharp bounds for these two are bounds on the term-wise
@@ -70,15 +79,22 @@ __all__ = [
 ]
 
 #: Grid points evaluated in one vectorized block (whole ``x`` rows, at least
-#: one).  Sized by measurement (2-vCPU x86, NumPy 2.4, glibc 2.36): on the
-#: default grid it makes 12 rows of 2,624 points, and a certify-shaped op
-#: (the four default-grid ``maximize`` calls) took 0.24-0.32 s with about 2k
-#: page faults, against 0.61-0.65 s and 15k faults as one 527k-point block
-#: per pass, whose 8.4-MB temporaries leave the caches.  Among small blocks
-#: the page faults decide: glibc trims the heap top that a block's freed
-#: temporaries leave and the next block faults it back in.  3, 4 and 6 rows
-#: took 31k-66k faults per op, and 13-48 rows 24k-30k.
+#: one); on the default grid, 12 rows of 2,624 points.  Measured on a
+#: certify-shaped op (the four default-grid ``maximize`` calls; 2-vCPU x86,
+#: NumPy 2.4, glibc 2.36) in heap layouts made by allocating 0, 333 or 5,000
+#: small objects first: 55-61 ms and no page faults per op, against 70-74 ms
+#: at 16,384 and 96-98 ms at 8,192 (per-block overhead) and 52-55 ms at
+#: 65,536.  The min scans still allocate complex temporaries per block, and
+#: the four default-grid min scans took 270 ms with 6.6k faults at 32,768,
+#: 290-320 ms with 23k faults at 65,536 and 445-480 ms with 115k at 16,384.
 _BLOCK_POINTS = 32_768
+
+#: Screen values of the Hankel max scans within this distance of a block's
+#: maximum are confirmed on the reference objective (see
+#: :func:`_screened_max`).  It must exceed twice the screen error: at most
+#: 4.9e-17 (log) and 1.25e-16 (inverse log) over the default grid's first
+#: pass and 10^6 random points, so about 800x headroom.
+_SCREEN_MARGIN = 1e-13
 
 
 class FunctionalId(str, Enum):
@@ -274,7 +290,15 @@ def _hankel_objective(kernel, grid: GridSpec, mode: str, zeta3_mode: str):
     """The ``(zeta1, zeta2)`` objective of ``|kernel|`` for :func:`_scan`.
 
     Returns ``(objective, depth, zeta3_at)``; ``zeta3_at(zeta1, zeta2)`` is
-    the ``zeta3`` at which the objective's value is attained.
+    the ``zeta3`` at which the objective's value is attained.  The exact
+    objective is ``|alpha| + |beta|`` (max) or ``max(|alpha| - |beta|, 0)``
+    (min) with ``alpha = kernel(zeta1, zeta2, 0)`` and ``beta = kernel(zeta1,
+    zeta2, 1) - alpha``.  The max scans evaluate it as a real screen plus a
+    confirm of the near-maximal points on those two kernel calls
+    (:func:`_screened_max`), which returns the same block argmax and values
+    as evaluating the kernels everywhere; the min scans call the kernels on
+    every point, since their exact-zero ties would make most of the domain
+    near-minimal.
     """
     if zeta3_mode not in ("exact", "boundary", "disk"):
         raise DomainViolation("zeta3_mode must be 'exact', 'boundary' or 'disk'")
@@ -294,11 +318,17 @@ def _hankel_objective(kernel, grid: GridSpec, mode: str, zeta3_mode: str):
         alpha = kernel(z1, z2, 0.0)
         return alpha, kernel(z1, z2, 1.0) - alpha
 
-    def objective(z1, _r, z2):
+    def reference(z1, z2):
         alpha, beta = split(z1, z2)
         if mode == "max":
             return np.abs(alpha) + np.abs(beta)
         return np.maximum(np.abs(alpha) - np.abs(beta), 0.0)
+
+    if mode == "max":
+        objective = _screened_max(_HANKEL_ALPHA[kernel], reference)
+    else:
+        def objective(z1, _r, z2):
+            return reference(z1, z2)
 
     def zeta3_at(z1, z2):
         alpha, beta = (complex(v) for v in split(z1, z2))
@@ -312,9 +342,74 @@ def _hankel_objective(kernel, grid: GridSpec, mode: str, zeta3_mode: str):
     return objective, 1, zeta3_at
 
 
+def _screened_max(alpha_coeffs, reference):
+    """The exact max objective ``|alpha| + |beta|`` as a real screen plus a
+    confirm on ``reference(zeta1, zeta2)``.
+
+    The screen takes ``sqrt(re^2 + im^2) + beta`` from the real coefficient
+    forms ``alpha_coeffs(zeta1)`` and :func:`caratheodory._hankel_beta` in
+    float64 buffers reused across the blocks of a scan, with no complex
+    temporaries; ``Re``/``Im`` of ``zeta2`` and ``zeta2^2`` are built once
+    per pass.  Every point whose screen value lies within
+    :data:`_SCREEN_MARGIN` of the block maximum is then re-evaluated on
+    ``reference`` and written back.
+
+    The screen differs from the reference by rounding only (at most
+    1.25e-16 measured), less than half the margin.  So the first reference
+    maximum in C order is always confirmed, and every unconfirmed point
+    keeps a screen value strictly below it: the block's argmax and value
+    are the reference's, bit for bit.  Without the confirm the screen's
+    last-bit differences would move ties, such as the inverse-log face
+    ``zeta1 = 1`` where ``|H| = 1/9`` throughout.  ``r`` may be ``None``;
+    ``|zeta2|`` is then taken from ``zeta2``.
+    """
+    per_pass = {"z2": None}
+    buffers = {"size": 0}
+
+    def objective(z1, r, z2):
+        p = per_pass
+        if p["z2"] is not z2:
+            sq = z2 * z2
+            p.update(z2=z2, re=z2.real.copy(), im=z2.imag.copy(),
+                     sq_re=sq.real.copy(), sq_im=sq.imag.copy())
+        shape = np.broadcast_shapes(np.shape(z1), np.shape(z2))
+        size = math.prod(shape)
+        if buffers["size"] < size:
+            buffers.update(size=size, vals=np.empty((3, size)),
+                           mask=np.empty(size, dtype=bool))
+        re, im, tmp = (row[:size].reshape(shape) for row in buffers["vals"])
+        mask = buffers["mask"][:size].reshape(shape)
+
+        a0, a1, a2 = alpha_coeffs(z1)
+        np.multiply(a2, p["sq_re"], out=re)
+        np.add(re, a0, out=re)
+        np.multiply(a2, p["sq_im"], out=im)
+        if np.any(a1):
+            np.add(re, np.multiply(a1, p["re"], out=tmp), out=re)
+            np.add(im, np.multiply(a1, p["im"], out=tmp), out=im)
+        np.multiply(re, re, out=re)
+        np.multiply(im, im, out=im)
+        np.add(re, im, out=re)
+        np.sqrt(re, out=re)
+        np.add(re, cth._hankel_beta(z1, np.abs(z2) if r is None else r), out=re)
+
+        np.greater_equal(re, re.max() - _SCREEN_MARGIN, out=mask)
+        idx = np.flatnonzero(mask)
+        re.reshape(-1)[idx] = reference(np.broadcast_to(z1, shape).flat[idx],
+                                        np.broadcast_to(z2, shape).flat[idx])
+        return re
+
+    return objective
+
+
 _HANKEL_KERNELS = {
     FunctionalId.HANKEL_LOG: cth._hankel_log_zeta,
     FunctionalId.HANKEL_INVLOG: cth._hankel_invlog_zeta,
+}
+
+_HANKEL_ALPHA = {
+    cth._hankel_log_zeta: cth._hankel_log_alpha,
+    cth._hankel_invlog_zeta: cth._hankel_invlog_alpha,
 }
 
 _TOEPLITZ_MAJORANTS = {

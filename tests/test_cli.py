@@ -68,6 +68,14 @@ def test_ymax(capsys):
     assert data["bruteforce"] is None and data["diff"] is None
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_ymax_non_finite_is_argument_error(capsys, value):
+    code, out, err = run(capsys, "ymax", f"--a={value}", "--b", "0", "--c", "0")
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
 def test_verify_json(capsys):
     code, out, _ = run(
         capsys, "verify", "--functional", "hankel-log", "--zeta1-steps", "21",

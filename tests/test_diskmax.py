@@ -28,6 +28,18 @@ def test_grid_guard():
         quad_disk_max_grid(1, 1, 1, 100, 3)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("slot", range(3))
+def test_non_finite_coefficients_rejected(bad, slot):
+    # NaN used to fail every branch test and divide by c^2 = 0
+    abc = [0.0, 0.0, 0.0]
+    abc[slot] = bad
+    with pytest.raises(DomainViolation):
+        quad_disk_max(*abc)
+    with pytest.raises(DomainViolation):
+        quad_disk_max_grid(*abc, 50, 50)
+
+
 def test_grid_oracle_matches_full_grid():
     # the oracle scans the upper half grid only; real coefficients make the
     # objective conjugation-symmetric, so the full grid has the same maximum.

@@ -134,17 +134,77 @@ def test_exact_zeta3_elimination_pointwise(kernel):
         assert abs(abs(kernel(z1, z2, z3)) - exact) <= 1e-15
 
 
+_ALPHA_FORMS = [
+    (cth._hankel_log_zeta, cth._hankel_log_alpha),
+    (cth._hankel_invlog_zeta, cth._hankel_invlog_alpha),
+]
+
+
+def _first_pass_and_random_points():
+    # the default grid's first pass as broadcast blocks, and 1e5 seeded
+    # random points of the domain as flat arrays
+    grid = GridSpec()
+    r = np.linspace(0.0, 1.0, grid.radial_steps)
+    t = np.linspace(0.0, 2.0 * math.pi, grid.angular_steps, endpoint=False)
+    z1 = np.linspace(0.0, 1.0, grid.zeta1_steps)[:, None, None]
+    z2 = (r[:, None] * np.exp(1j * t)[None, :])[None, :, :]
+    rng = np.random.default_rng(SEED + 43)
+    n = 10 ** 5
+    rz1 = rng.uniform(size=n)
+    rz2 = np.sqrt(rng.uniform(size=n)) * np.exp(2j * math.pi * rng.uniform(size=n))
+    return [(z1, r[None, :, None], z2), (rz1, np.abs(rz2), rz2)]
+
+
+@pytest.mark.parametrize("kernel, alpha_coeffs", _ALPHA_FORMS)
+def test_hankel_coefficient_forms(kernel, alpha_coeffs):
+    # alpha = a0 + a1 zeta2 + a2 zeta2^2 from the real coefficients and the
+    # closed-form beta split the kernel as kernel(z3) = alpha + beta z3
+    for z1, r, z2 in _first_pass_and_random_points():
+        a0, a1, a2 = alpha_coeffs(z1)
+        alpha = kernel(z1, z2, 0.0)
+        assert np.abs(a0 + a1 * z2 + a2 * z2 * z2 - alpha).max() <= 1e-15
+        beta = cth._hankel_beta(z1, r)
+        assert np.abs(beta - (kernel(z1, z2, 1.0) - alpha)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("kernel", [kernel for kernel, _ in _ALPHA_FORMS])
+def test_hankel_screen_error(monkeypatch, kernel):
+    # with the confirm step disabled (no point is within a negative-infinite
+    # margin) the max objective returns the bare real screen, which stays
+    # within 1e-15 of |alpha| + |beta|, far inside half of _SCREEN_MARGIN
+    assert search._SCREEN_MARGIN >= 2e-15
+    monkeypatch.setattr(search, "_SCREEN_MARGIN", -math.inf)
+    for z1, r, z2 in _first_pass_and_random_points():
+        screen, _, _ = _hankel_objective(kernel, GridSpec(), "max", "exact")
+        alpha = kernel(z1, z2, 0.0)
+        reference = np.abs(alpha) + np.abs(kernel(z1, z2, 1.0) - alpha)
+        values = screen(z1, r, z2)
+        assert np.abs(values - reference).max() <= 1e-15
+        assert np.any(values != reference)  # the bare screen, not confirmed
+        assert np.abs(screen(z1, None, z2) - reference).max() <= 1e-15
+
+
 _REFERENCE = json.loads((Path(__file__).parent / "data" / "reference_reports.json").read_text())
+
+
+_REFERENCE_GRIDS = {
+    "coarse": COARSE,
+    "default": GridSpec(),
+    "41x16x24x2": GridSpec(41, 16, 24, 2),
+    "37x13x11x2x0.45": GridSpec(37, 13, 11, 2, 0.45),
+}
 
 
 @pytest.mark.parametrize("key", sorted(_REFERENCE))
 def test_reports_match_reference(key):
     # all four max and min scans reproduce, byte for byte, reports recorded
     # from earlier scan cores: the Toeplitz max and all min reports from the
-    # separate Hankel and Toeplitz loops, the Hankel max reports from the
-    # exact zeta3 elimination run as one block per pass
+    # separate Hankel and Toeplitz loops, the coarse and default Hankel max
+    # reports from the exact zeta3 elimination run as one block per pass,
+    # and the Hankel max reports on the two odd grids from the block scan
+    # that evaluated the complex kernels on every point
     mode, grid_name, fid = key.split("/")
-    grid = COARSE if grid_name == "coarse" else GridSpec()
+    grid = _REFERENCE_GRIDS[grid_name]
     scan = maximize if mode == "max" else minimize_modulus
     rep = scan(FunctionalId(fid), grid)
     assert json.dumps(rep.to_dict()) == json.dumps(_REFERENCE[key])
