@@ -149,7 +149,8 @@ def _hankel_invlog_zeta(z1, z2, z3):
 # Both kernels are ``alpha + beta zeta3`` with real coefficient forms:
 # ``alpha = a0 + a1 zeta2 + a2 zeta2^2`` with ``a0, a1, a2`` depending on
 # ``zeta1`` alone, and the shared ``beta`` depends on ``zeta1`` and
-# ``|zeta2|`` alone.  The max scans screen with these real forms.
+# ``|zeta2|`` alone.  The max scans bound each ``(zeta1, |zeta2|)`` ring
+# with these real forms.
 
 
 def _hankel_log_alpha(z1):

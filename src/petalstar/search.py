@@ -16,15 +16,6 @@ unit disk on a polar grid, refined around the incumbent.
   instead take the largest modulus over a grid of the circle or of the
   disk in ``zeta3``, and are kept as brute-force reference oracles.
 
-  The exact max scans screen each block with real coefficient forms:
-  ``alpha = a0 + a1 zeta2 + a2 zeta2^2`` with real ``a_k(zeta1)`` and
-  ``beta = 12 zeta1 (1 - zeta1^2) (1 - |zeta2|^2) / 144``, so ``|alpha| +
-  |beta|`` costs a few real passes instead of two complex kernel calls.
-  Screen values within a small margin of the block maximum are then
-  re-evaluated on the complex kernels and written back, so the argmax and
-  every reported value are the kernels' own, bit for bit (see
-  :func:`_screened_max`).
-
 * The two Toeplitz functionals are scanned in the reduced parameters
   ``(p1, zeta)`` with ``p1 in [0, 2]`` and ``zeta`` in the closed disk.
   The certified sharp bounds for these two are bounds on the term-wise
@@ -38,9 +29,19 @@ unit disk on a polar grid, refined around the incumbent.
   functions in :mod:`petalstar.caratheodory`, and :func:`minimize_modulus`
   scans it for the minima.
 
+Every scan but the ``zeta3`` oracles is pruned ring by ring: a bound on
+each ``(x, |zeta|)`` ring skips the rings that cannot beat the incumbent,
+and only the rest are evaluated (see :func:`_scan`).  The Hankel max bound
+is the triangle inequality on real coefficient forms, ``|a0| + |a1| r +
+|a2| r^2 + beta`` for ``alpha = a0 + a1 zeta2 + a2 zeta2^2`` with real
+``a_k(zeta1)`` and ``beta = 12 zeta1 (1 - zeta1^2) (1 - r^2) / 144``; the
+surviving rings are evaluated on the complex kernels.  The Toeplitz
+majorant depends on the ring only and is its own bound, and every min
+objective is bounded below by 0.
+
 Scans are deterministic and run on one thread: ties in the arg-extremum
 resolve to the lexicographically first grid point, and reports carry the
-seed and sample count.
+seed and sample count, which counts every grid node, pruned or not.
 """
 
 from __future__ import annotations
@@ -78,23 +79,19 @@ __all__ = [
     "toeplitz_invlog_majorant",
 ]
 
-#: Grid points evaluated in one vectorized block (whole ``x`` rows, at least
-#: one); on the default grid, 12 rows of 2,624 points.  Measured on a
-#: certify-shaped op (the four default-grid ``maximize`` calls; 2-vCPU x86,
-#: NumPy 2.4, glibc 2.36) in heap layouts made by allocating 0, 333 or 5,000
-#: small objects first: 55-61 ms and no page faults per op, against 70-74 ms
-#: at 16,384 and 96-98 ms at 8,192 (per-block overhead) and 52-55 ms at
-#: 65,536.  The min scans still allocate complex temporaries per block, and
-#: the four default-grid min scans took 270 ms with 6.6k faults at 32,768,
-#: 290-320 ms with 23k faults at 65,536 and 445-480 ms with 115k at 16,384.
+#: Grid points evaluated in one vectorized block: whole rings of candidate
+#: ``(x, |zeta|)`` pairs in the pruned scans and of every pair in the
+#: ``zeta3`` oracles, at least one ring, so a loose bound never allocates a
+#: whole pass.  Measured on unpruned scans, where every block is full
+#: (2-vCPU x86, NumPy 2.4, glibc 2.36): the four default-grid ``maximize``
+#: calls took 55-61 ms with no page faults per op, against 70-74 ms at
+#: 16,384 and 96-98 ms at 8,192 (per-block overhead) and 52-55 ms at 65,536.
 _BLOCK_POINTS = 32_768
 
-#: Screen values of the Hankel max scans within this distance of a block's
-#: maximum are confirmed on the reference objective (see
-#: :func:`_screened_max`).  It must exceed twice the screen error: at most
-#: 4.9e-17 (log) and 1.25e-16 (inverse log) over the default grid's first
-#: pass and 10^6 random points, so about 800x headroom.
-_SCREEN_MARGIN = 1e-13
+#: Rounding margin added to the Hankel max ring bound.  It must exceed the
+#: bound's largest shortfall below the kernels' ``|alpha| + |beta|``: about
+#: 1e-16 over the default grid's first pass and 10^5 random points.
+_BOUND_MARGIN = 1e-13
 
 
 class FunctionalId(str, Enum):
@@ -226,48 +223,76 @@ def _shrink(lo: float, hi: float, center: float, factor: float,
     return nlo, nhi
 
 
-def _scan(objective, x_hi: float, grid: GridSpec, mode: str, depth: int = 1):
+def _scan(objective, x_hi: float, grid: GridSpec, mode: str, depth: int = 1,
+          bound=None):
     """Scan ``objective`` over ``x in [0, x_hi]`` times the closed unit disk.
 
-    ``objective(x, r, zeta)`` receives the blocks ``x`` of shape ``(n, 1, 1)``,
-    ``r`` of shape ``(1, R, 1)`` and ``zeta = r e^{it}`` of shape ``(1, R, A)``
-    and returns real values broadcastable to ``(n, R, A)``; objectives of
-    ``r`` alone leave the angular axis to the lexicographic tie-break, which
+    ``objective(x, r, zeta)`` receives a block of ``m`` rings as ``x`` and
+    ``r = |zeta|`` of shape ``(m, 1)`` and ``zeta = r e^{it}`` of shape
+    ``(m, A)``, and returns real values broadcastable to ``(m, A)``;
+    objectives of ``r`` alone leave the angular axis to the tie-break, which
     pins its first angle.  ``depth`` is the number of points ``objective``
-    evaluates per grid node, for the block size and the sample count.  Each
-    pass runs over blocks of ``x`` rows in index order, and a later block
-    replaces the incumbent only when strictly better, so ties resolve to the
-    first grid point in C order whatever the block size.
+    evaluates per grid node, for the block size and the sample count.  The
+    rings of a pass run in C order, and a later block replaces the incumbent
+    only when strictly better, so ties resolve to the first grid point in C
+    order whatever the block size.
+
+    ``bound(x, r)`` takes ``x`` of shape ``(n, 1)`` and ``r`` of shape
+    ``(1, R)`` and bounds the objective on every ring, rounding included:
+    from above for ``"max"``, from below for ``"min"``.  A pass then
+    evaluates the ring with the best bound for a seed value, and after it
+    only the rings whose bound strictly beats the seed, or ties it at or
+    before the seed ring; when an earlier pass's incumbent is at least as
+    good as the seed, only the rings whose bound strictly beats the
+    incumbent.  No skipped ring holds the first C-order extremum, so the
+    result is the unpruned scan's; ``samples`` counts every grid node.
     Returns ``(value, (x, zeta), samples)``.
     """
     two_pi = 2.0 * math.pi
     better = operator.gt if mode == "max" else operator.lt
     pick = np.argmax if mode == "max" else np.argmin
     win = {"x": (0.0, x_hi), "r": (0.0, 1.0), "t": (0.0, two_pi)}
-    shape = (grid.radial_steps, grid.angular_steps)
-    inner = grid.radial_steps * grid.angular_steps * depth
-    rows = max(1, _BLOCK_POINTS // inner)
+    n, rs, ts = grid.zeta1_steps, grid.radial_steps, grid.angular_steps
+    per_block = max(1, _BLOCK_POINTS // (ts * depth))
     best_val = None
     best_params = None
     samples = 0
 
     for rnd in range(grid.refine_rounds + 1):
-        x = _axis(*win["x"], grid.zeta1_steps)
-        r = _axis(*win["r"], grid.radial_steps)
-        t = _axis(*win["t"], grid.angular_steps, periodic=rnd == 0)
-        rg = r[None, :, None]
-        zg = (r[:, None] * np.exp(1j * t)[None, :])[None, :, :]
+        x = _axis(*win["x"], n)
+        r = _axis(*win["r"], rs)
+        t = _axis(*win["t"], ts, periodic=rnd == 0)
+        zg = r[:, None] * np.exp(1j * t)[None, :]
 
-        for i0 in range(0, x.size, rows):
-            xb = x[i0:i0 + rows]
-            vals = np.broadcast_to(objective(xb[:, None, None], rg, zg),
-                                   (xb.size,) + shape)
-            i, j, k = np.unravel_index(int(pick(vals)), vals.shape)
-            val = float(vals[i, j, k])
+        def rings(ids):
+            i, j = np.divmod(ids, rs)
+            return np.broadcast_to(objective(x[i, None], r[j, None], zg[j]),
+                                   (ids.size, ts))
+
+        if bound is None:
+            ids = np.arange(n * rs)
+        else:
+            ring_bound = np.broadcast_to(bound(x[:, None], r[None, :]), (n, rs)).ravel()
+            s = int(pick(ring_bound))
+            vals = rings(np.array([s]))
+            seed = float(vals[0, pick(vals)])
+            if best_val is None or better(seed, best_val):
+                keep = better(ring_bound, seed)
+                keep[:s + 1] |= ring_bound[:s + 1] == seed
+            else:
+                keep = better(ring_bound, best_val)
+            ids = np.flatnonzero(keep)
+
+        for b0 in range(0, ids.size, per_block):
+            block = ids[b0:b0 + per_block]
+            vals = rings(block)
+            m, k = np.unravel_index(int(pick(vals)), vals.shape)
+            val = float(vals[m, k])
             if best_val is None or better(val, best_val):
                 best_val = val
-                best_params = (float(xb[i]), complex(r[j] * np.exp(1j * t[k])))
-        samples += x.size * inner
+                i, j = divmod(int(block[m]), rs)
+                best_params = (float(x[i]), complex(r[j] * np.exp(1j * t[k])))
+        samples += n * rs * ts * depth
 
         x_c, z_c = best_params
         win["x"] = _shrink(*win["x"], x_c, grid.refine_shrink, 0.0, x_hi)
@@ -289,16 +314,15 @@ def _zeta3_grid(zeta3_mode: str, grid: GridSpec) -> np.ndarray:
 def _hankel_objective(kernel, grid: GridSpec, mode: str, zeta3_mode: str):
     """The ``(zeta1, zeta2)`` objective of ``|kernel|`` for :func:`_scan`.
 
-    Returns ``(objective, depth, zeta3_at)``; ``zeta3_at(zeta1, zeta2)`` is
-    the ``zeta3`` at which the objective's value is attained.  The exact
-    objective is ``|alpha| + |beta|`` (max) or ``max(|alpha| - |beta|, 0)``
-    (min) with ``alpha = kernel(zeta1, zeta2, 0)`` and ``beta = kernel(zeta1,
-    zeta2, 1) - alpha``.  The max scans evaluate it as a real screen plus a
-    confirm of the near-maximal points on those two kernel calls
-    (:func:`_screened_max`), which returns the same block argmax and values
-    as evaluating the kernels everywhere; the min scans call the kernels on
-    every point, since their exact-zero ties would make most of the domain
-    near-minimal.
+    Returns ``(objective, depth, zeta3_at, bound)``; ``zeta3_at(zeta1,
+    zeta2)`` is the ``zeta3`` at which the objective's value is attained,
+    and ``bound`` is the ring bound for :func:`_scan` (``None`` for the
+    oracles).  The exact objective is ``|alpha| + |beta|`` (max) or
+    ``max(|alpha| - |beta|, 0)`` (min) with ``alpha = kernel(zeta1, zeta2,
+    0)`` and ``beta = kernel(zeta1, zeta2, 1) - alpha``.  Its max bound
+    takes ``|alpha| <= |a0| + |a1| r + |a2| r^2`` from the real coefficient
+    forms of ``alpha`` and adds ``beta`` and :data:`_BOUND_MARGIN`; its min
+    bound is 0.
     """
     if zeta3_mode not in ("exact", "boundary", "disk"):
         raise DomainViolation("zeta3_mode must be 'exact', 'boundary' or 'disk'")
@@ -312,23 +336,21 @@ def _hankel_objective(kernel, grid: GridSpec, mode: str, zeta3_mode: str):
         def oracle_zeta3(z1, z2):
             return z3_grid[int(np.argmax(np.abs(kernel(z1, z2, z3_grid))))]
 
-        return oracle, z3_grid.size, oracle_zeta3
+        return oracle, z3_grid.size, oracle_zeta3, None
 
     def split(z1, z2):
         alpha = kernel(z1, z2, 0.0)
         return alpha, kernel(z1, z2, 1.0) - alpha
 
-    def reference(z1, z2):
+    def objective(z1, _r, z2):
         alpha, beta = split(z1, z2)
         if mode == "max":
             return np.abs(alpha) + np.abs(beta)
         return np.maximum(np.abs(alpha) - np.abs(beta), 0.0)
 
-    if mode == "max":
-        objective = _screened_max(_HANKEL_ALPHA[kernel], reference)
-    else:
-        def objective(z1, _r, z2):
-            return reference(z1, z2)
+    def max_bound(z1, r):
+        a0, a1, a2 = (np.abs(a) for a in _HANKEL_ALPHA[kernel](z1))
+        return a0 + a1 * r + a2 * (r * r) + cth._hankel_beta(z1, r) + _BOUND_MARGIN
 
     def zeta3_at(z1, z2):
         alpha, beta = (complex(v) for v in split(z1, z2))
@@ -339,67 +361,12 @@ def _hankel_objective(kernel, grid: GridSpec, mode: str, zeta3_mode: str):
         z3 = alpha * beta.conjugate() / (abs(alpha) * abs(beta))
         return z3 if mode == "max" else -z3 * min(abs(alpha) / abs(beta), 1.0)
 
-    return objective, 1, zeta3_at
+    return objective, 1, zeta3_at, max_bound if mode == "max" else _zero
 
 
-def _screened_max(alpha_coeffs, reference):
-    """The exact max objective ``|alpha| + |beta|`` as a real screen plus a
-    confirm on ``reference(zeta1, zeta2)``.
-
-    The screen takes ``sqrt(re^2 + im^2) + beta`` from the real coefficient
-    forms ``alpha_coeffs(zeta1)`` and :func:`caratheodory._hankel_beta` in
-    float64 buffers reused across the blocks of a scan, with no complex
-    temporaries; ``Re``/``Im`` of ``zeta2`` and ``zeta2^2`` are built once
-    per pass.  Every point whose screen value lies within
-    :data:`_SCREEN_MARGIN` of the block maximum is then re-evaluated on
-    ``reference`` and written back.
-
-    The screen differs from the reference by rounding only (at most
-    1.25e-16 measured), less than half the margin.  So the first reference
-    maximum in C order is always confirmed, and every unconfirmed point
-    keeps a screen value strictly below it: the block's argmax and value
-    are the reference's, bit for bit.  Without the confirm the screen's
-    last-bit differences would move ties, such as the inverse-log face
-    ``zeta1 = 1`` where ``|H| = 1/9`` throughout.  ``r`` may be ``None``;
-    ``|zeta2|`` is then taken from ``zeta2``.
-    """
-    per_pass = {"z2": None}
-    buffers = {"size": 0}
-
-    def objective(z1, r, z2):
-        p = per_pass
-        if p["z2"] is not z2:
-            sq = z2 * z2
-            p.update(z2=z2, re=z2.real.copy(), im=z2.imag.copy(),
-                     sq_re=sq.real.copy(), sq_im=sq.imag.copy())
-        shape = np.broadcast_shapes(np.shape(z1), np.shape(z2))
-        size = math.prod(shape)
-        if buffers["size"] < size:
-            buffers.update(size=size, vals=np.empty((3, size)),
-                           mask=np.empty(size, dtype=bool))
-        re, im, tmp = (row[:size].reshape(shape) for row in buffers["vals"])
-        mask = buffers["mask"][:size].reshape(shape)
-
-        a0, a1, a2 = alpha_coeffs(z1)
-        np.multiply(a2, p["sq_re"], out=re)
-        np.add(re, a0, out=re)
-        np.multiply(a2, p["sq_im"], out=im)
-        if np.any(a1):
-            np.add(re, np.multiply(a1, p["re"], out=tmp), out=re)
-            np.add(im, np.multiply(a1, p["im"], out=tmp), out=im)
-        np.multiply(re, re, out=re)
-        np.multiply(im, im, out=im)
-        np.add(re, im, out=re)
-        np.sqrt(re, out=re)
-        np.add(re, cth._hankel_beta(z1, np.abs(z2) if r is None else r), out=re)
-
-        np.greater_equal(re, re.max() - _SCREEN_MARGIN, out=mask)
-        idx = np.flatnonzero(mask)
-        re.reshape(-1)[idx] = reference(np.broadcast_to(z1, shape).flat[idx],
-                                        np.broadcast_to(z2, shape).flat[idx])
-        return re
-
-    return objective
+def _zero(_x, _r):
+    """Ring bound of the min scans: every objective there is a modulus."""
+    return 0.0
 
 
 _HANKEL_KERNELS = {
@@ -429,10 +396,11 @@ def _report(functional, grid: GridSpec, mode: str, seed: int,
     grid = grid or GridSpec()
     objective = "modulus"
     if functional in _HANKEL_KERNELS:
-        scan_objective, depth, zeta3_at = _hankel_objective(
+        scan_objective, depth, zeta3_at, bound = _hankel_objective(
             _HANKEL_KERNELS[functional], grid, mode, zeta3_mode
         )
-        val, (z1, z2), samples = _scan(scan_objective, 1.0, grid, mode, depth)
+        val, (z1, z2), samples = _scan(scan_objective, 1.0, grid, mode, depth,
+                                       bound=bound)
         z3 = complex(zeta3_at(z1, z2))
         argmax = {
             "zeta1": z1,
@@ -446,12 +414,13 @@ def _report(functional, grid: GridSpec, mode: str, seed: int,
             majorant = _TOEPLITZ_MAJORANTS[functional]
             objective = "majorant"
             val, (p1, z), samples = _scan(
-                lambda x, r, _z: majorant(x, r), 2.0, grid, mode
+                lambda x, r, _z: majorant(x, r), 2.0, grid, mode, bound=majorant
             )
         else:
             reduced = _TOEPLITZ_REDUCED[functional]
             val, (p1, z), samples = _scan(
-                lambda x, _r, zg: np.abs(reduced(x, zg)), 2.0, grid, mode
+                lambda x, _r, zg: np.abs(reduced(x, zg)), 2.0, grid, mode,
+                bound=_zero,
             )
         argmax = {"p1": p1, "zeta_re": z.real, "zeta_im": z.imag}
     bound = SHARP_BOUNDS[functional]

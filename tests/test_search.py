@@ -118,7 +118,7 @@ def test_exact_zeta3_matches_oracles():
 def test_exact_zeta3_elimination_pointwise(kernel):
     # |alpha| + |beta| bounds a fine boundary zeta3 scan from above and is
     # attained at the reported unit-modulus zeta3
-    objective, depth, zeta3_at = _hankel_objective(kernel, GridSpec(), "max", "exact")
+    objective, depth, zeta3_at, _ = _hankel_objective(kernel, GridSpec(), "max", "exact")
     assert depth == 1
     circle = np.exp(2j * math.pi * np.arange(4096) / 4096)
     rng = np.random.default_rng(SEED + 42)
@@ -168,20 +168,21 @@ def test_hankel_coefficient_forms(kernel, alpha_coeffs):
 
 
 @pytest.mark.parametrize("kernel", [kernel for kernel, _ in _ALPHA_FORMS])
-def test_hankel_screen_error(monkeypatch, kernel):
-    # with the confirm step disabled (no point is within a negative-infinite
-    # margin) the max objective returns the bare real screen, which stays
-    # within 1e-15 of |alpha| + |beta|, far inside half of _SCREEN_MARGIN
-    assert search._SCREEN_MARGIN >= 2e-15
-    monkeypatch.setattr(search, "_SCREEN_MARGIN", -math.inf)
+def test_ring_bound_sound(monkeypatch, kernel):
+    # the Hankel max ring bound, margin included, is at least |alpha| + |beta|
+    # at every point of its ring, and the margin exceeds the largest shortfall
+    # of the bare bound at least 100-fold
+    margin = search._BOUND_MARGIN
+    bound = _hankel_objective(kernel, GridSpec(), "max", "exact")[3]
+    shortfall = 0.0
     for z1, r, z2 in _first_pass_and_random_points():
-        screen, _, _ = _hankel_objective(kernel, GridSpec(), "max", "exact")
         alpha = kernel(z1, z2, 0.0)
         reference = np.abs(alpha) + np.abs(kernel(z1, z2, 1.0) - alpha)
-        values = screen(z1, r, z2)
-        assert np.abs(values - reference).max() <= 1e-15
-        assert np.any(values != reference)  # the bare screen, not confirmed
-        assert np.abs(screen(z1, None, z2) - reference).max() <= 1e-15
+        assert np.all(bound(z1, r) >= reference)
+        monkeypatch.setattr(search, "_BOUND_MARGIN", 0.0)
+        shortfall = max(shortfall, float((reference - bound(z1, r)).max()))
+        monkeypatch.setattr(search, "_BOUND_MARGIN", margin)
+    assert margin >= 100.0 * shortfall
 
 
 _REFERENCE = json.loads((Path(__file__).parent / "data" / "reference_reports.json").read_text())
@@ -232,6 +233,49 @@ def test_block_size_invariance(monkeypatch, scan, fid, zeta3_mode):
         monkeypatch.setattr(search, "_BLOCK_POINTS", block_points)
         reports.append(json.dumps(scan(fid, COARSE, **kwargs).to_dict()))
     assert reports[0] == reports[1]
+
+
+_PRUNING_GRIDS = {
+    "coarse": COARSE,
+    "41x16x24x2": GridSpec(41, 16, 24, 2),
+    "37x13x11x2x0.45": GridSpec(37, 13, 11, 2, 0.45),
+    "5x3x5x4": GridSpec(5, 3, 5, 4),
+}
+
+
+@pytest.mark.parametrize("grid_name", _PRUNING_GRIDS)
+def test_pruning_invariance(monkeypatch, grid_name):
+    # a ring bound of +inf (max) or -inf (min) prunes no ring; the pruned
+    # scans reproduce those reports byte for byte, ties included
+    grid = _PRUNING_GRIDS[grid_name]
+
+    def reports():
+        return [json.dumps(scan(fid, grid).to_dict())
+                for fid in FunctionalId for scan in (maximize, minimize_modulus)]
+
+    pruned = reports()
+    scan = search._scan
+
+    def unpruned(*args, bound):
+        inf = math.inf if args[3] == "max" else -math.inf
+        return scan(*args, bound=lambda _x, _r: inf)
+
+    monkeypatch.setattr(search, "_scan", unpruned)
+    assert reports() == pruned
+
+
+def test_pruning_keeps_earlier_ties():
+    # a loose bound ties the seed value at rings before the seed ring (the
+    # last one); the first of them holds the first maximum in C order
+    def objective(x, r, _z):
+        return np.where((r == 1.0) & (x != 0.5), 1.0, 0.0)
+
+    def bound(x, r):
+        return (r == 1.0) * np.where(x == 1.0, 2.0, 1.0)
+
+    grid = GridSpec(zeta1_steps=3, radial_steps=2, angular_steps=2, refine_rounds=0)
+    pruned = search._scan(objective, 1.0, grid, "max", bound=bound)
+    assert pruned == search._scan(objective, 1.0, grid, "max") == (1.0, (0.0, 1.0), 12)
 
 
 def test_hankel_argmax_consistency():
