@@ -41,6 +41,12 @@ from .errors import DomainViolation, EndpointSingularity
 DOMAIN_TOL = 1e-12
 
 
+def _check_in_disk(name: str, z: complex):
+    # negated so that a NaN modulus fails the check too
+    if not abs(z) <= 1.0 + DOMAIN_TOL:
+        raise DomainViolation(f"|{name}| = {abs(z)} is not at most 1")
+
+
 @dataclass(frozen=True)
 class CaratheodoryPoint:
     """Parameter triple ``(zeta1, zeta2, zeta3)`` of the parametrization."""
@@ -52,10 +58,8 @@ class CaratheodoryPoint:
     def __post_init__(self):
         if not -DOMAIN_TOL <= self.zeta1 <= 1.0 + DOMAIN_TOL:
             raise DomainViolation(f"zeta1 = {self.zeta1} outside [0, 1]")
-        if abs(self.zeta2) > 1.0 + DOMAIN_TOL:
-            raise DomainViolation(f"|zeta2| = {abs(self.zeta2)} exceeds 1")
-        if abs(self.zeta3) > 1.0 + DOMAIN_TOL:
-            raise DomainViolation(f"|zeta3| = {abs(self.zeta3)} exceeds 1")
+        _check_in_disk("zeta2", self.zeta2)
+        _check_in_disk("zeta3", self.zeta3)
 
 
 class ABCTriple(NamedTuple):
@@ -232,8 +236,7 @@ def _toeplitz_invlog_reduced(p1, zeta):
 def _check_reduced_domain(p1: float, zeta: complex):
     if not -DOMAIN_TOL <= p1 <= 2.0 + DOMAIN_TOL:
         raise DomainViolation(f"p1 = {p1} outside [0, 2]")
-    if abs(zeta) > 1.0 + DOMAIN_TOL:
-        raise DomainViolation(f"|zeta| = {abs(zeta)} exceeds 1")
+    _check_in_disk("zeta", zeta)
 
 
 def toeplitz_log_reduced(p1: float, zeta: complex) -> complex:
@@ -259,8 +262,7 @@ def disk_objective(abc: ABCTriple, zeta2: complex) -> float:
     This is the quantity whose maximum over the closed disk the piecewise
     formula in :mod:`petalstar.diskmax` computes.
     """
-    if abs(zeta2) > 1.0 + DOMAIN_TOL:
-        raise DomainViolation(f"|zeta2| = {abs(zeta2)} exceeds 1")
+    _check_in_disk("zeta2", zeta2)
     a, b, c = abc
     return float(abs(a + b * zeta2 + c * zeta2 * zeta2) + 1.0 - abs(zeta2) ** 2)
 

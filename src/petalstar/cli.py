@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -67,16 +68,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="grid-scan the bounds")
     p.add_argument("--functional", default="all", choices=["all"] + _KIND_CHOICES)
-    p.add_argument("--zeta1-steps", type=int, default=201)
-    p.add_argument("--radial-steps", type=int, default=41)
-    p.add_argument("--angular-steps", type=int, default=64)
-    p.add_argument("--refine-rounds", type=int, default=3)
-    p.add_argument("--refine-shrink", type=float, default=0.3)
+    for field in dataclasses.fields(GridSpec):
+        p.add_argument("--" + field.name.replace("_", "-"),
+                       type=type(field.default), default=field.default)
     p.add_argument("--tol", type=float, default=1e-3,
                    help="largest admissible sharpness gap")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for compatibility; scans run on one thread")
     p.add_argument("--format", default="json", choices=["json", "csv"])
 
     p = sub.add_parser("ymax", help="disk maximizer of |A + Bz + Cz^2| + 1 - |z|^2")
@@ -122,21 +119,12 @@ def _cmd_extremal(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    grid = GridSpec(
-        zeta1_steps=args.zeta1_steps,
-        radial_steps=args.radial_steps,
-        angular_steps=args.angular_steps,
-        refine_rounds=args.refine_rounds,
-        refine_shrink=args.refine_shrink,
-    )
+    grid = GridSpec(**{f.name: getattr(args, f.name) for f in dataclasses.fields(GridSpec)})
     if args.functional == "all":
         targets = list(FunctionalId)
     else:
         targets = [FunctionalId(args.functional)]
-    reports = [
-        maximize(fid, grid, seed=args.seed, threads=args.threads)
-        for fid in targets
-    ]
+    reports = [maximize(fid, grid, seed=args.seed) for fid in targets]
     ok = all(
         r.deviation <= args.tol and r.observed_max <= r.sharp_bound + _SOUNDNESS_TOL
         for r in reports

@@ -150,7 +150,7 @@ def class_check(f: SchlichtSeries, radii, angles: int = 64) -> ClassCheckReport:
     the truncation tail estimate as a caveat.
     """
     radii = np.asarray(radii, dtype=float)
-    if radii.size == 0 or np.any(radii <= 0.0) or np.any(radii >= 1.0):
+    if radii.size == 0 or not np.all((radii > 0.0) & (radii < 1.0)):
         raise DomainViolation("radii must lie strictly inside (0, 1)")
     if angles < 1:
         raise DomainViolation("need at least one angle")

@@ -70,13 +70,11 @@ def log_coeffs_closed(f: SchlichtSeries) -> np.ndarray:
 def inv_log_coeffs(f: SchlichtSeries, m: int) -> np.ndarray:
     """First ``m`` logarithmic coefficients of the inverse of ``f``.
 
-    Computed from the definition: revert the series, then take half the
-    coefficients of ``log(F(w)/w)``.  Indexing as in :func:`log_coeffs`.
+    Computed from the definition: the logarithmic coefficients of the
+    reverted series.  Indexing as in :func:`log_coeffs`.
     """
     _require_order(f, m + 1, f"inv_log_coeffs(m={m})")
-    inv = revert(f)
-    lo = log_over_z(inv)
-    return lo.coeffs[: m + 1] / 2.0
+    return log_coeffs(revert(f), m)
 
 
 def inv_log_coeffs_closed(f: SchlichtSeries) -> np.ndarray:
@@ -93,7 +91,8 @@ def hankel_det(entries, q: int, n: int) -> complex:
     """Determinant of the ``q x q`` Hankel matrix with entry ``(i, j)`` equal
     to ``entries[n + i + j]``.
 
-    Closed cofactor forms for ``q <= 3``; LU factorization beyond that.
+    Exact for ``q = 1``, a closed form for ``q = 2``, LU factorization
+    beyond that.
     """
     e = np.asarray(entries, dtype=complex)
     if q < 1 or n < 0:
@@ -105,18 +104,14 @@ def hankel_det(entries, q: int, n: int) -> complex:
         return complex(e[n])
     if q == 2:
         return complex(e[n] * e[n + 2] - e[n + 1] ** 2)
-    if q == 3:
-        a, b, c, d, f = e[n], e[n + 1], e[n + 2], e[n + 3], e[n + 4]
-        return complex(a * (c * f - d * d) - b * (b * f - c * d) + c * (b * d - c * c))
-    mat = np.empty((q, q), dtype=complex)
-    for i in range(q):
-        mat[i] = e[n + i : n + i + q]
-    return complex(np.linalg.det(mat))
+    idx = np.arange(q)[:, None] + np.arange(q)[None, :]
+    return complex(np.linalg.det(e[n + idx]))
 
 
 def toeplitz_det(entries, q: int, n: int) -> complex:
     """Determinant of the ``q x q`` symmetric Toeplitz matrix with entry
-    ``(i, j)`` equal to ``entries[n + |i - j|]``."""
+    ``(i, j)`` equal to ``entries[n + |i - j|]``; evaluated as
+    :func:`hankel_det` is."""
     e = np.asarray(entries, dtype=complex)
     if q < 1 or n < 0:
         raise IndexOutOfRange("need q >= 1 and n >= 0")
@@ -127,9 +122,6 @@ def toeplitz_det(entries, q: int, n: int) -> complex:
         return complex(e[n])
     if q == 2:
         return complex(e[n] ** 2 - e[n + 1] ** 2)
-    if q == 3:
-        a, b, c = e[n], e[n + 1], e[n + 2]
-        return complex(a ** 3 - 2 * a * b * b + 2 * b * b * c - a * c * c)
     idx = np.abs(np.arange(q)[:, None] - np.arange(q)[None, :])
     return complex(np.linalg.det(e[n + idx]))
 

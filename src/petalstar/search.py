@@ -29,9 +29,10 @@ unit disk on a polar grid, refined around the incumbent.
   functions in :mod:`petalstar.caratheodory`, and :func:`minimize_modulus`
   scans it for the minima.
 
-Every scan but the ``zeta3`` oracles is pruned ring by ring: a bound on
-each ``(x, |zeta|)`` ring skips the rings that cannot beat the incumbent,
-and only the rest are evaluated (see :func:`_scan`).  The Hankel max bound
+Every scan is pruned ring by ring: a bound on each ``(x, |zeta|)`` ring
+skips the rings that cannot beat the incumbent, and only the rest are
+evaluated (see :func:`_scan`).  The ``zeta3`` oracles take the bound
+``+inf`` and so evaluate every ring.  The Hankel max bound
 is the triangle inequality on real coefficient forms, ``|a0| + |a1| r +
 |a2| r^2 + beta`` for ``alpha = a0 + a1 zeta2 + a2 zeta2^2`` with real
 ``a_k(zeta1)`` and ``beta = 12 zeta1 (1 - zeta1^2) (1 - r^2) / 144``; the
@@ -48,7 +49,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
@@ -168,17 +169,7 @@ class BoundReport:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "functional": self.functional,
-            "mode": self.mode,
-            "objective": self.objective,
-            "observed_max": self.observed_max,
-            "argmax": dict(self.argmax),
-            "sharp_bound": self.sharp_bound,
-            "deviation": self.deviation,
-            "samples": self.samples,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def toeplitz_log_majorant(p1, t):
@@ -223,8 +214,7 @@ def _shrink(lo: float, hi: float, center: float, factor: float,
     return nlo, nhi
 
 
-def _scan(objective, x_hi: float, grid: GridSpec, mode: str, depth: int = 1,
-          bound=None):
+def _scan(objective, bound, x_hi: float, grid: GridSpec, mode: str, depth: int = 1):
     """Scan ``objective`` over ``x in [0, x_hi]`` times the closed unit disk.
 
     ``objective(x, r, zeta)`` receives a block of ``m`` rings as ``x`` and
@@ -245,8 +235,10 @@ def _scan(objective, x_hi: float, grid: GridSpec, mode: str, depth: int = 1,
     before the seed ring; when an earlier pass's incumbent is at least as
     good as the seed, only the rings whose bound strictly beats the
     incumbent.  No skipped ring holds the first C-order extremum, so the
-    result is the unpruned scan's; ``samples`` counts every grid node.
-    Returns ``(value, (x, zeta), samples)``.
+    result is the unpruned scan's; ``samples`` counts every grid node.  A
+    bound of ``+inf`` (max) or ``-inf`` (min) prunes nothing: every ring is
+    evaluated, and the seed ring once more.  Returns ``(value, (x, zeta),
+    samples)``.
     """
     two_pi = 2.0 * math.pi
     better = operator.gt if mode == "max" else operator.lt
@@ -269,19 +261,16 @@ def _scan(objective, x_hi: float, grid: GridSpec, mode: str, depth: int = 1,
             return np.broadcast_to(objective(x[i, None], r[j, None], zg[j]),
                                    (ids.size, ts))
 
-        if bound is None:
-            ids = np.arange(n * rs)
+        ring_bound = np.broadcast_to(bound(x[:, None], r[None, :]), (n, rs)).ravel()
+        s = int(pick(ring_bound))
+        vals = rings(np.array([s]))
+        seed = float(vals[0, pick(vals)])
+        if best_val is None or better(seed, best_val):
+            keep = better(ring_bound, seed)
+            keep[:s + 1] |= ring_bound[:s + 1] == seed
         else:
-            ring_bound = np.broadcast_to(bound(x[:, None], r[None, :]), (n, rs)).ravel()
-            s = int(pick(ring_bound))
-            vals = rings(np.array([s]))
-            seed = float(vals[0, pick(vals)])
-            if best_val is None or better(seed, best_val):
-                keep = better(ring_bound, seed)
-                keep[:s + 1] |= ring_bound[:s + 1] == seed
-            else:
-                keep = better(ring_bound, best_val)
-            ids = np.flatnonzero(keep)
+            keep = better(ring_bound, best_val)
+        ids = np.flatnonzero(keep)
 
         for b0 in range(0, ids.size, per_block):
             block = ids[b0:b0 + per_block]
@@ -311,21 +300,23 @@ def _zeta3_grid(zeta3_mode: str, grid: GridSpec) -> np.ndarray:
     return (r3[:, None] * np.exp(1j * t3)[None, :]).ravel()
 
 
-def _hankel_objective(kernel, grid: GridSpec, mode: str, zeta3_mode: str):
-    """The ``(zeta1, zeta2)`` objective of ``|kernel|`` for :func:`_scan`.
+def _hankel_objective(functional: FunctionalId, grid: GridSpec, mode: str,
+                      zeta3_mode: str):
+    """The ``(zeta1, zeta2)`` objective of a Hankel functional's modulus for
+    :func:`_scan`.
 
     Returns ``(objective, depth, zeta3_at, bound)``; ``zeta3_at(zeta1,
     zeta2)`` is the ``zeta3`` at which the objective's value is attained,
-    and ``bound`` is the ring bound for :func:`_scan` (``None`` for the
-    oracles).  The exact objective is ``|alpha| + |beta|`` (max) or
-    ``max(|alpha| - |beta|, 0)`` (min) with ``alpha = kernel(zeta1, zeta2,
-    0)`` and ``beta = kernel(zeta1, zeta2, 1) - alpha``.  Its max bound
-    takes ``|alpha| <= |a0| + |a1| r + |a2| r^2`` from the real coefficient
-    forms of ``alpha`` and adds ``beta`` and :data:`_BOUND_MARGIN`; its min
-    bound is 0.
+    and ``bound`` is the ring bound for :func:`_scan` (``+inf`` for the
+    oracles, which evaluate every ring).  With ``kernel, alpha_forms =
+    _HANKEL[functional]``, the exact objective is ``|alpha| + |beta|`` (max)
+    or ``max(|alpha| - |beta|, 0)`` (min) with ``alpha = kernel(zeta1,
+    zeta2, 0)`` and ``beta = kernel(zeta1, zeta2, 1) - alpha``.  Its max
+    bound takes ``|alpha| <= |a0| + |a1| r + |a2| r^2`` from the real
+    coefficient forms ``alpha_forms(zeta1)`` and adds ``beta`` and
+    :data:`_BOUND_MARGIN`; its min bound is 0.
     """
-    if zeta3_mode not in ("exact", "boundary", "disk"):
-        raise DomainViolation("zeta3_mode must be 'exact', 'boundary' or 'disk'")
+    kernel, alpha_forms = _HANKEL[functional]
 
     if mode == "max" and zeta3_mode != "exact":
         z3_grid = _zeta3_grid(zeta3_mode, grid)
@@ -336,7 +327,7 @@ def _hankel_objective(kernel, grid: GridSpec, mode: str, zeta3_mode: str):
         def oracle_zeta3(z1, z2):
             return z3_grid[int(np.argmax(np.abs(kernel(z1, z2, z3_grid))))]
 
-        return oracle, z3_grid.size, oracle_zeta3, None
+        return oracle, z3_grid.size, oracle_zeta3, _unbounded
 
     def split(z1, z2):
         alpha = kernel(z1, z2, 0.0)
@@ -349,7 +340,7 @@ def _hankel_objective(kernel, grid: GridSpec, mode: str, zeta3_mode: str):
         return np.maximum(np.abs(alpha) - np.abs(beta), 0.0)
 
     def max_bound(z1, r):
-        a0, a1, a2 = (np.abs(a) for a in _HANKEL_ALPHA[kernel](z1))
+        a0, a1, a2 = (np.abs(a) for a in alpha_forms(z1))
         return a0 + a1 * r + a2 * (r * r) + cth._hankel_beta(z1, r) + _BOUND_MARGIN
 
     def zeta3_at(z1, z2):
@@ -369,38 +360,37 @@ def _zero(_x, _r):
     return 0.0
 
 
-_HANKEL_KERNELS = {
-    FunctionalId.HANKEL_LOG: cth._hankel_log_zeta,
-    FunctionalId.HANKEL_INVLOG: cth._hankel_invlog_zeta,
+def _unbounded(_x, _r):
+    """Ring bound of the max oracles, which evaluate every ring."""
+    return math.inf
+
+
+#: Hankel functionals: the ``zeta``-variable kernel and the real coefficient
+#: forms of its ``zeta3``-free part.
+_HANKEL = {
+    FunctionalId.HANKEL_LOG: (cth._hankel_log_zeta, cth._hankel_log_alpha),
+    FunctionalId.HANKEL_INVLOG: (cth._hankel_invlog_zeta, cth._hankel_invlog_alpha),
 }
 
-_HANKEL_ALPHA = {
-    cth._hankel_log_zeta: cth._hankel_log_alpha,
-    cth._hankel_invlog_zeta: cth._hankel_invlog_alpha,
-}
-
-_TOEPLITZ_MAJORANTS = {
-    FunctionalId.TOEPLITZ_LOG: toeplitz_log_majorant,
-    FunctionalId.TOEPLITZ_INVLOG: toeplitz_invlog_majorant,
-}
-
-_TOEPLITZ_REDUCED = {
-    FunctionalId.TOEPLITZ_LOG: cth._toeplitz_log_reduced,
-    FunctionalId.TOEPLITZ_INVLOG: cth._toeplitz_invlog_reduced,
+#: Toeplitz functionals: the proof majorant (max) and the reduced form (min).
+_TOEPLITZ = {
+    FunctionalId.TOEPLITZ_LOG: (toeplitz_log_majorant, cth._toeplitz_log_reduced),
+    FunctionalId.TOEPLITZ_INVLOG: (toeplitz_invlog_majorant, cth._toeplitz_invlog_reduced),
 }
 
 
 def _report(functional, grid: GridSpec, mode: str, seed: int,
             zeta3_mode: str = "exact") -> BoundReport:
     functional = FunctionalId(functional)
+    if zeta3_mode not in ("exact", "boundary", "disk"):
+        raise DomainViolation("zeta3_mode must be 'exact', 'boundary' or 'disk'")
     grid = grid or GridSpec()
     objective = "modulus"
-    if functional in _HANKEL_KERNELS:
+    if functional in _HANKEL:
         scan_objective, depth, zeta3_at, bound = _hankel_objective(
-            _HANKEL_KERNELS[functional], grid, mode, zeta3_mode
+            functional, grid, mode, zeta3_mode
         )
-        val, (z1, z2), samples = _scan(scan_objective, 1.0, grid, mode, depth,
-                                       bound=bound)
+        val, (z1, z2), samples = _scan(scan_objective, bound, 1.0, grid, mode, depth)
         z3 = complex(zeta3_at(z1, z2))
         argmax = {
             "zeta1": z1,
@@ -410,17 +400,15 @@ def _report(functional, grid: GridSpec, mode: str, seed: int,
             "zeta3_im": z3.imag,
         }
     else:
+        majorant, reduced = _TOEPLITZ[functional]
         if mode == "max":
-            majorant = _TOEPLITZ_MAJORANTS[functional]
             objective = "majorant"
             val, (p1, z), samples = _scan(
-                lambda x, r, _z: majorant(x, r), 2.0, grid, mode, bound=majorant
+                lambda x, r, _z: majorant(x, r), majorant, 2.0, grid, mode
             )
         else:
-            reduced = _TOEPLITZ_REDUCED[functional]
             val, (p1, z), samples = _scan(
-                lambda x, _r, zg: np.abs(reduced(x, zg)), 2.0, grid, mode,
-                bound=_zero,
+                lambda x, _r, zg: np.abs(reduced(x, zg)), _zero, 2.0, grid, mode
             )
         argmax = {"p1": p1, "zeta_re": z.real, "zeta_im": z.imag}
     bound = SHARP_BOUNDS[functional]
@@ -448,9 +436,10 @@ def maximize(functional: FunctionalId, grid: GridSpec = None, seed: int = 0,
     grid node at ``angular_steps`` points of the circle ``|zeta3| = 1`` or
     at the ``radial_steps x angular_steps`` polar grid of the disk; both
     count those evaluations in ``samples``.  Toeplitz identifiers scan the
-    proof majorant (see the module docstring) and ignore ``zeta3_mode``.
-    ``threads`` is accepted for compatibility and has no effect: every scan
-    runs on one thread.
+    proof majorant (see the module docstring) and ignore a valid
+    ``zeta3_mode``; an unknown one raises for every identifier.  ``threads``
+    has no effect: every scan runs on one thread, and the keyword remains
+    only for the benchmark's call signature.
     """
     return _report(functional, grid, "max", seed, zeta3_mode)
 
@@ -462,8 +451,8 @@ def minimize_modulus(functional: FunctionalId, grid: GridSpec = None,
     The observed minimum is 0 for all four functionals (the identity
     function belongs to the class), so the claimed two-sided lower bounds
     are not domain-wide facts; they are attained-value statements covered
-    by the extremal witnesses instead.  ``threads`` is accepted for
-    compatibility and has no effect.
+    by the extremal witnesses instead.  ``threads`` has no effect; it
+    remains only for the benchmark's call signature.
     """
     return _report(functional, grid, "min", seed)
 

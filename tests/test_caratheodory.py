@@ -7,6 +7,7 @@ import pytest
 
 from conftest import SEED, random_point
 from petalstar import (
+    ABCTriple,
     CASE_SPLIT_POINT,
     ENVELOPE_INNER_PEAK,
     CaratheodoryPoint,
@@ -15,6 +16,7 @@ from petalstar import (
     abc_hankel_invlog,
     abc_hankel_log,
     case_functions,
+    class_check,
     disk_objective,
     envelope_inner,
     envelope_outer,
@@ -25,6 +27,7 @@ from petalstar import (
     hankel_log_from_p,
     hankel_log_from_zeta,
     p_from_zeta,
+    preset,
     reduced_p2,
     toeplitz2_invlog,
     toeplitz2_log,
@@ -62,6 +65,22 @@ def test_point_validation():
         CaratheodoryPoint(0.5, 1.2, 0)
     with pytest.raises(DomainViolation):
         CaratheodoryPoint(0.5, 0, -1.0001)
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: CaratheodoryPoint(0.5, _NAN, 0),
+    lambda: CaratheodoryPoint(0.5, 0, complex(_NAN, 0)),
+    lambda: toeplitz_log_reduced(1.0, _NAN),
+    lambda: disk_objective(ABCTriple(1.0, 0.0, 1.0), _NAN),
+    lambda: class_check(preset("f0", 6), [_NAN]),
+], ids=["point-zeta2", "point-zeta3", "toeplitz-reduced", "disk-objective", "class-check"])
+def test_nan_fails_domain_checks(call):
+    # "abs(z) > 1 + tol" is False for NaN; the checks must reject it anyway
+    with pytest.raises(DomainViolation):
+        call()
 
 
 def test_first_coefficient_within_caratheodory_range():

@@ -112,16 +112,6 @@ def test_verify_byte_determinism(capsys):
     assert first == second
 
 
-def test_verify_threads_accepted(capsys):
-    # --threads is kept for compatibility and does not change the output
-    argv = ["verify", "--zeta1-steps", "11", "--radial-steps", "5",
-            "--angular-steps", "8", "--refine-rounds", "1"]
-    code1, one, _ = run(capsys, *argv, "--threads", "1")
-    code4, four, _ = run(capsys, *argv, "--threads", "4")
-    assert code1 == code4 == 0
-    assert one == four
-
-
 def test_verify_failure_exit_code(capsys):
     # an unreachable tolerance must flip the exit code to 1
     code, out, _ = run(

@@ -86,3 +86,41 @@ def test_center_candidate_floor():
     for _ in range(300):
         a, b, c = rng.uniform(-2, 2, 3)
         assert quad_disk_max(a, b, c) >= abs(a) + 1.0 - 1e-12
+
+
+def _branch(a, b, c):
+    # the index of the return statement quad_disk_max takes, from its
+    # branch conditions restated
+    aa, ab, ac = abs(a), abs(b), abs(c)
+    if a * c >= 0.0:
+        return 0 if ab >= 2.0 * (1.0 - ac) else 1
+    gate = -4.0 * a * c * (c ** -2 - 1.0)
+    if gate <= b * b and ab < 2.0 * (1.0 - ac):
+        return 2
+    if b * b < min(4.0 * (1.0 + ac) ** 2, gate):
+        return 3
+    if ac * (ab + 4.0 * aa) <= abs(a * b):
+        return 4
+    if abs(a * b) <= ac * (ab - 4.0 * aa):
+        return 5
+    return 6
+
+
+def test_oracle_agreement_every_branch():
+    # uniform [-2, 2]^3 draws never reach the "|A| + |B| - |C|" branch (it
+    # needs a large |B| and a small |C|, e.g. (0.908, -3.94, -0.036)) and
+    # rarely the "1 - |A| + ..." one (small |A|); log-uniform |A| and |C|
+    # with |B| <= 5 reach all seven returns
+    rng = np.random.default_rng(SEED + 34)
+    n = 2000
+    a = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3.0, 0.5, n)
+    b = rng.uniform(-5.0, 5.0, n)
+    c = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-2.0, 0.5, n)
+    branches = np.array([_branch(*abc) for abc in zip(a, b, c)])
+    for k in range(7):
+        hits = np.flatnonzero(branches == k)[:10]
+        assert hits.size == 10, (k, hits.size)
+        for i in hits:
+            d = abs(quad_disk_max(a[i], b[i], c[i]) - quad_disk_max_grid(a[i], b[i], c[i]))
+            assert d <= 5e-3, (k, a[i], b[i], c[i], d)
+    assert _branch(0.908, -3.94, -0.036) == 4

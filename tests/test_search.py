@@ -110,15 +110,22 @@ def test_exact_zeta3_matches_oracles():
         assert exact.samples == 11 * 7 * 12
         assert boundary.samples == exact.samples * 12
         assert maximize(fid, COARSE).samples == 21 * 9 * 16 * (COARSE.refine_rounds + 1)
-    with pytest.raises(DomainViolation):
-        maximize(FunctionalId.HANKEL_LOG, grid, zeta3_mode="interior")
+    for fid in (FunctionalId.HANKEL_LOG, FunctionalId.TOEPLITZ_LOG):
+        with pytest.raises(DomainViolation):
+            maximize(fid, grid, zeta3_mode="interior")
 
 
-@pytest.mark.parametrize("kernel", [cth._hankel_log_zeta, cth._hankel_invlog_zeta])
-def test_exact_zeta3_elimination_pointwise(kernel):
+_HANKEL_CASES = [
+    pytest.param(fid, kernel, id=kernel.__name__)
+    for fid, (kernel, _) in search._HANKEL.items()
+]
+
+
+@pytest.mark.parametrize("fid, kernel", _HANKEL_CASES)
+def test_exact_zeta3_elimination_pointwise(fid, kernel):
     # |alpha| + |beta| bounds a fine boundary zeta3 scan from above and is
     # attained at the reported unit-modulus zeta3
-    objective, depth, zeta3_at, _ = _hankel_objective(kernel, GridSpec(), "max", "exact")
+    objective, depth, zeta3_at, _ = _hankel_objective(fid, GridSpec(), "max", "exact")
     assert depth == 1
     circle = np.exp(2j * math.pi * np.arange(4096) / 4096)
     rng = np.random.default_rng(SEED + 42)
@@ -132,12 +139,6 @@ def test_exact_zeta3_elimination_pointwise(kernel):
         z3 = complex(zeta3_at(z1, z2))
         assert abs(abs(z3) - 1.0) <= 1e-15
         assert abs(abs(kernel(z1, z2, z3)) - exact) <= 1e-15
-
-
-_ALPHA_FORMS = [
-    (cth._hankel_log_zeta, cth._hankel_log_alpha),
-    (cth._hankel_invlog_zeta, cth._hankel_invlog_alpha),
-]
 
 
 def _first_pass_and_random_points():
@@ -155,7 +156,7 @@ def _first_pass_and_random_points():
     return [(z1, r[None, :, None], z2), (rz1, np.abs(rz2), rz2)]
 
 
-@pytest.mark.parametrize("kernel, alpha_coeffs", _ALPHA_FORMS)
+@pytest.mark.parametrize("kernel, alpha_coeffs", list(search._HANKEL.values()))
 def test_hankel_coefficient_forms(kernel, alpha_coeffs):
     # alpha = a0 + a1 zeta2 + a2 zeta2^2 from the real coefficients and the
     # closed-form beta split the kernel as kernel(z3) = alpha + beta z3
@@ -167,13 +168,13 @@ def test_hankel_coefficient_forms(kernel, alpha_coeffs):
         assert np.abs(beta - (kernel(z1, z2, 1.0) - alpha)).max() <= 1e-15
 
 
-@pytest.mark.parametrize("kernel", [kernel for kernel, _ in _ALPHA_FORMS])
-def test_ring_bound_sound(monkeypatch, kernel):
+@pytest.mark.parametrize("fid, kernel", _HANKEL_CASES)
+def test_ring_bound_sound(monkeypatch, fid, kernel):
     # the Hankel max ring bound, margin included, is at least |alpha| + |beta|
     # at every point of its ring, and the margin exceeds the largest shortfall
     # of the bare bound at least 100-fold
     margin = search._BOUND_MARGIN
-    bound = _hankel_objective(kernel, GridSpec(), "max", "exact")[3]
+    bound = _hankel_objective(fid, GridSpec(), "max", "exact")[3]
     shortfall = 0.0
     for z1, r, z2 in _first_pass_and_random_points():
         alpha = kernel(z1, z2, 0.0)
@@ -256,9 +257,9 @@ def test_pruning_invariance(monkeypatch, grid_name):
     pruned = reports()
     scan = search._scan
 
-    def unpruned(*args, bound):
-        inf = math.inf if args[3] == "max" else -math.inf
-        return scan(*args, bound=lambda _x, _r: inf)
+    def unpruned(objective, _bound, x_hi, grid, mode, *depth):
+        inf = math.inf if mode == "max" else -math.inf
+        return scan(objective, lambda _x, _r: inf, x_hi, grid, mode, *depth)
 
     monkeypatch.setattr(search, "_scan", unpruned)
     assert reports() == pruned
@@ -274,8 +275,9 @@ def test_pruning_keeps_earlier_ties():
         return (r == 1.0) * np.where(x == 1.0, 2.0, 1.0)
 
     grid = GridSpec(zeta1_steps=3, radial_steps=2, angular_steps=2, refine_rounds=0)
-    pruned = search._scan(objective, 1.0, grid, "max", bound=bound)
-    assert pruned == search._scan(objective, 1.0, grid, "max") == (1.0, (0.0, 1.0), 12)
+    pruned = search._scan(objective, bound, 1.0, grid, "max")
+    unpruned = search._scan(objective, search._unbounded, 1.0, grid, "max")
+    assert pruned == unpruned == (1.0, (0.0, 1.0), 12)
 
 
 def test_hankel_argmax_consistency():
