@@ -274,6 +274,13 @@ def _check_open_interval(zeta1: float):
         )
 
 
+def _abc_from_alpha(alpha_forms, zeta1: float) -> ABCTriple:
+    # alpha = b0 (A + B zeta2 + C zeta2^2) and beta = b0 (1 - |zeta2|^2)
+    _check_open_interval(zeta1)
+    b0 = _hankel_beta(zeta1, 0.0)
+    return ABCTriple(*(a / b0 for a in alpha_forms(zeta1)))
+
+
 def abc_hankel_log(zeta1: float) -> ABCTriple:
     """Quadratic coefficients of the log-Hankel bound at ``zeta1``.
 
@@ -281,10 +288,7 @@ def abc_hankel_log(zeta1: float) -> ABCTriple:
     ``C = -(zeta1^2 + 3) / (4 zeta1)``; both A and C are negative on (0, 1),
     so the product ``A C`` is nonnegative throughout.
     """
-    _check_open_interval(zeta1)
-    a = -(zeta1 ** 3) / (6.0 * (1.0 - zeta1 ** 2))
-    c = -(zeta1 ** 2 + 3.0) / (4.0 * zeta1)
-    return ABCTriple(a, 0.0, c)
+    return _abc_from_alpha(_hankel_log_alpha, zeta1)
 
 
 def abc_hankel_invlog(zeta1: float) -> ABCTriple:
@@ -293,11 +297,7 @@ def abc_hankel_invlog(zeta1: float) -> ABCTriple:
     ``A = 4 zeta1^3 / (3 (1 - zeta1^2))``, ``B = -(3/2) zeta1``,
     ``C = -(3 + zeta1^2) / (4 zeta1)``; here ``A > 0 > C`` on (0, 1).
     """
-    _check_open_interval(zeta1)
-    a = 4.0 * zeta1 ** 3 / (3.0 * (1.0 - zeta1 ** 2))
-    b = -1.5 * zeta1
-    c = -(3.0 + zeta1 ** 2) / (4.0 * zeta1)
-    return ABCTriple(a, b, c)
+    return _abc_from_alpha(_hankel_invlog_alpha, zeta1)
 
 
 def case_functions(zeta1: float) -> CaseTable:

@@ -24,6 +24,7 @@ are addressable by name:
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -65,6 +66,8 @@ class ExtremalSpec:
     def __post_init__(self):
         if self.k < 1:
             raise DomainViolation("power k must be >= 1")
+        if not cmath.isfinite(self.c):
+            raise DomainViolation(f"amplitude c = {self.c} is not finite")
 
 
 PRESETS = {
@@ -80,8 +83,14 @@ def build_extremal(spec: ExtremalSpec, order: int = DEFAULT_ORDER) -> SchlichtSe
     """Series of ``z exp(int_0^z arcsinh(c t^k) / t dt)`` to ``order``."""
     if order < 1:
         raise DomainViolation("order must be >= 1")
-    inner = integrate_over_t(asinh_series(spec.c, spec.k, order - 1))
-    outer = exp_series(inner)
+    try:
+        inner = integrate_over_t(asinh_series(spec.c, spec.k, order - 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            outer = exp_series(inner)
+        if not np.isfinite(outer.coeffs).all():
+            raise OverflowError
+    except OverflowError:
+        raise DomainViolation(f"c = {spec.c} overflows the series to order {order}") from None
     coeffs = np.zeros(order + 1, dtype=complex)
     coeffs[1:] = outer.coeffs
     return SchlichtSeries(coeffs)

@@ -29,26 +29,25 @@ unit disk on a polar grid, refined around the incumbent.
   functions in :mod:`petalstar.caratheodory`, and :func:`minimize_modulus`
   scans it for the minima.
 
-Every scan is pruned ring by ring: a bound on each ``(x, |zeta|)`` ring
-skips the rings that cannot beat the incumbent, and only the rest are
-evaluated (see :func:`_scan`).  The ``zeta3`` oracles take the bound
-``+inf`` and so evaluate every ring.  The Hankel max bound
-is the triangle inequality on real coefficient forms, ``|a0| + |a1| r +
-|a2| r^2 + beta`` for ``alpha = a0 + a1 zeta2 + a2 zeta2^2`` with real
-``a_k(zeta1)`` and ``beta = 12 zeta1 (1 - zeta1^2) (1 - r^2) / 144``; the
-surviving rings are evaluated on the complex kernels.  The Toeplitz
-majorant depends on the ring only and is its own bound, and every min
-objective is bounded below by 0.
+The core only maximizes; :func:`minimize_modulus` scans the negated
+modulus.  An upper bound on each ``(x, |zeta|)`` ring prunes the rings that
+cannot beat the incumbent, and each pass evaluates the rest in one call
+(see :func:`_scan`).  The Hankel max bound is the triangle inequality on
+real coefficient forms, ``|a0| + |a1| r + |a2| r^2 + beta`` for ``alpha =
+a0 + a1 zeta2 + a2 zeta2^2`` with real ``a_k(zeta1)`` and ``beta = 12
+zeta1 (1 - zeta1^2) (1 - r^2) / 144``.  The Toeplitz majorant is its own
+bound, and a negated modulus is bounded by 0.  The ``zeta3`` oracles take
+the bound ``+inf`` and evaluate every ring, in blocks.
 
-Scans are deterministic and run on one thread: ties in the arg-extremum
-resolve to the lexicographically first grid point, and reports carry the
-seed and sample count, which counts every grid node, pruned or not.
+Scans are deterministic and run on one thread: exact ties in the
+arg-extremum resolve to the lexicographically first grid point, and reports
+carry the seed and sample count, which counts every grid node, pruned or
+not.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import asdict, dataclass
 from enum import Enum
 
@@ -80,13 +79,9 @@ __all__ = [
     "toeplitz_invlog_majorant",
 ]
 
-#: Grid points evaluated in one vectorized block: whole rings of candidate
-#: ``(x, |zeta|)`` pairs in the pruned scans and of every pair in the
-#: ``zeta3`` oracles, at least one ring, so a loose bound never allocates a
-#: whole pass.  Measured on unpruned scans, where every block is full
-#: (2-vCPU x86, NumPy 2.4, glibc 2.36): the four default-grid ``maximize``
-#: calls took 55-61 ms with no page faults per op, against 70-74 ms at
-#: 16,384 and 96-98 ms at 8,192 (per-block overhead) and 52-55 ms at 65,536.
+#: Kernel points a ``zeta3`` oracle evaluates per block of whole rings (at
+#: least one ring).  The oracles are the only scans that evaluate every
+#: ring: a default-grid disk pass is 8,241 rings x 64 x 2,624 points.
 _BLOCK_POINTS = 32_768
 
 #: Rounding margin added to the Hankel max ring bound.  It must exceed the
@@ -155,7 +150,10 @@ class BoundReport:
     negative gap (an unsound scan) is reported, not raised, so that callers
     such as the ``verify`` command can print the report and fail on it.
     ``objective`` records what was scanned: the functional ``modulus`` or
-    the Toeplitz proof ``majorant``.
+    the Toeplitz proof ``majorant``.  Exact float ties resolve to the first
+    grid point; where a functional is constant along a face in exact
+    arithmetic, rounding picks ``argmax``, and ``observed_max`` can exceed
+    the bound by about 1e-16 (see the README's conventions).
     """
 
     functional: str
@@ -197,12 +195,6 @@ def toeplitz_invlog_majorant(p1, t):
 # -- grid scan core ------------------------------------------------------------
 
 
-def _axis(lo: float, hi: float, n: int, periodic: bool = False) -> np.ndarray:
-    if periodic and hi - lo >= 2.0 * math.pi - 1e-12:
-        return np.linspace(lo, lo + 2.0 * math.pi, n, endpoint=False)
-    return np.linspace(lo, hi, n)
-
-
 def _shrink(lo: float, hi: float, center: float, factor: float,
             clip_lo: float = None, clip_hi: float = None):
     w = (hi - lo) * factor
@@ -214,46 +206,36 @@ def _shrink(lo: float, hi: float, center: float, factor: float,
     return nlo, nhi
 
 
-def _scan(objective, bound, x_hi: float, grid: GridSpec, mode: str, depth: int = 1):
-    """Scan ``objective`` over ``x in [0, x_hi]`` times the closed unit disk.
+def _scan(objective, bound, x_hi: float, grid: GridSpec):
+    """Maximize ``objective`` over ``x in [0, x_hi]`` times the closed disk.
 
-    ``objective(x, r, zeta)`` receives a block of ``m`` rings as ``x`` and
-    ``r = |zeta|`` of shape ``(m, 1)`` and ``zeta = r e^{it}`` of shape
-    ``(m, A)``, and returns real values broadcastable to ``(m, A)``;
-    objectives of ``r`` alone leave the angular axis to the tie-break, which
-    pins its first angle.  ``depth`` is the number of points ``objective``
-    evaluates per grid node, for the block size and the sample count.  The
-    rings of a pass run in C order, and a later block replaces the incumbent
-    only when strictly better, so ties resolve to the first grid point in C
-    order whatever the block size.
+    ``objective(x, r, zeta)`` receives ``m`` rings as ``x`` and ``r =
+    |zeta|`` of shape ``(m, 1)`` and ``zeta = r e^{it}`` of shape ``(m, A)``,
+    and returns real values broadcastable to ``(m, A)``; objectives of ``r``
+    alone leave the angular axis to the tie-break, which pins its first
+    angle.  Exact ties resolve to the first grid point in C order.
 
     ``bound(x, r)`` takes ``x`` of shape ``(n, 1)`` and ``r`` of shape
-    ``(1, R)`` and bounds the objective on every ring, rounding included:
-    from above for ``"max"``, from below for ``"min"``.  A pass then
-    evaluates the ring with the best bound for a seed value, and after it
-    only the rings whose bound strictly beats the seed, or ties it at or
-    before the seed ring; when an earlier pass's incumbent is at least as
-    good as the seed, only the rings whose bound strictly beats the
-    incumbent.  No skipped ring holds the first C-order extremum, so the
-    result is the unpruned scan's; ``samples`` counts every grid node.  A
-    bound of ``+inf`` (max) or ``-inf`` (min) prunes nothing: every ring is
-    evaluated, and the seed ring once more.  Returns ``(value, (x, zeta),
-    samples)``.
+    ``(1, R)`` and bounds the objective from above on every ring, rounding
+    included.  A pass evaluates the ring with the largest bound for a seed
+    value, then, in one call, the rings whose bound exceeds the seed or ties
+    it at or before the seed ring; when an earlier pass's incumbent is at
+    least the seed, the rings whose bound exceeds the incumbent.  No skipped
+    ring holds the first C-order maximum, so the result is the unpruned
+    scan's; a bound of ``+inf`` prunes nothing.  Returns ``(value, (x,
+    zeta), nodes)``, ``nodes`` counting every grid node of every pass.
     """
     two_pi = 2.0 * math.pi
-    better = operator.gt if mode == "max" else operator.lt
-    pick = np.argmax if mode == "max" else np.argmin
     win = {"x": (0.0, x_hi), "r": (0.0, 1.0), "t": (0.0, two_pi)}
     n, rs, ts = grid.zeta1_steps, grid.radial_steps, grid.angular_steps
-    per_block = max(1, _BLOCK_POINTS // (ts * depth))
     best_val = None
     best_params = None
-    samples = 0
 
     for rnd in range(grid.refine_rounds + 1):
-        x = _axis(*win["x"], n)
-        r = _axis(*win["r"], rs)
-        t = _axis(*win["t"], ts, periodic=rnd == 0)
+        x = np.linspace(*win["x"], n)
+        r = np.linspace(*win["r"], rs)
+        # the first pass's window is the whole circle, whose end 2 pi is 0
+        t = np.linspace(*win["t"], ts, endpoint=rnd > 0)
         zg = r[:, None] * np.exp(1j * t)[None, :]
 
         def rings(ids):
@@ -262,41 +244,37 @@ def _scan(objective, bound, x_hi: float, grid: GridSpec, mode: str, depth: int =
                                    (ids.size, ts))
 
         ring_bound = np.broadcast_to(bound(x[:, None], r[None, :]), (n, rs)).ravel()
-        s = int(pick(ring_bound))
-        vals = rings(np.array([s]))
-        seed = float(vals[0, pick(vals)])
-        if best_val is None or better(seed, best_val):
-            keep = better(ring_bound, seed)
+        s = int(np.argmax(ring_bound))
+        seed = float(rings(np.array([s])).max())
+        if best_val is None or seed > best_val:
+            keep = ring_bound > seed
             keep[:s + 1] |= ring_bound[:s + 1] == seed
         else:
-            keep = better(ring_bound, best_val)
+            keep = ring_bound > best_val
         ids = np.flatnonzero(keep)
 
-        for b0 in range(0, ids.size, per_block):
-            block = ids[b0:b0 + per_block]
-            vals = rings(block)
-            m, k = np.unravel_index(int(pick(vals)), vals.shape)
-            val = float(vals[m, k])
-            if best_val is None or better(val, best_val):
-                best_val = val
-                i, j = divmod(int(block[m]), rs)
+        if ids.size:
+            vals = rings(ids)
+            m, k = np.unravel_index(int(np.argmax(vals)), vals.shape)
+            if best_val is None or vals[m, k] > best_val:
+                best_val = float(vals[m, k])
+                i, j = divmod(int(ids[m]), rs)
                 best_params = (float(x[i]), complex(r[j] * np.exp(1j * t[k])))
-        samples += n * rs * ts * depth
 
         x_c, z_c = best_params
         win["x"] = _shrink(*win["x"], x_c, grid.refine_shrink, 0.0, x_hi)
         win["r"] = _shrink(*win["r"], abs(z_c), grid.refine_shrink, 0.0, 1.0)
         win["t"] = _shrink(*win["t"], float(np.angle(z_c)) % two_pi, grid.refine_shrink)
 
-    return best_val, best_params, samples
+    return best_val, best_params, (grid.refine_rounds + 1) * n * rs * ts
 
 
 def _zeta3_grid(zeta3_mode: str, grid: GridSpec) -> np.ndarray:
     """The ``zeta3`` points a brute-force oracle takes the maximum over."""
-    t3 = _axis(0.0, 2.0 * math.pi, grid.angular_steps, periodic=True)
+    t3 = np.linspace(0.0, 2.0 * math.pi, grid.angular_steps, endpoint=False)
     if zeta3_mode == "boundary":
         return np.exp(1j * t3)
-    r3 = _axis(0.0, 1.0, grid.radial_steps)
+    r3 = np.linspace(0.0, 1.0, grid.radial_steps)
     return (r3[:, None] * np.exp(1j * t3)[None, :]).ravel()
 
 
@@ -305,12 +283,13 @@ def _hankel_objective(functional: FunctionalId, grid: GridSpec, mode: str,
     """The ``(zeta1, zeta2)`` objective of a Hankel functional's modulus for
     :func:`_scan`.
 
-    Returns ``(objective, depth, zeta3_at, bound)``; ``zeta3_at(zeta1,
-    zeta2)`` is the ``zeta3`` at which the objective's value is attained,
-    and ``bound`` is the ring bound for :func:`_scan` (``+inf`` for the
-    oracles, which evaluate every ring).  With ``kernel, alpha_forms =
+    Returns ``(objective, depth, zeta3_at, bound)``; ``depth`` counts the
+    kernel points per grid node, ``zeta3_at(zeta1, zeta2)`` is the ``zeta3``
+    at which the objective's value is attained, and ``bound`` is the ring
+    bound for :func:`_scan` (``+inf`` for the oracles, which block their
+    rings by :data:`_BLOCK_POINTS`).  With ``kernel, alpha_forms =
     _HANKEL[functional]``, the exact objective is ``|alpha| + |beta|`` (max)
-    or ``max(|alpha| - |beta|, 0)`` (min) with ``alpha = kernel(zeta1,
+    or ``-max(|alpha| - |beta|, 0)`` (min) with ``alpha = kernel(zeta1,
     zeta2, 0)`` and ``beta = kernel(zeta1, zeta2, 1) - alpha``.  Its max
     bound takes ``|alpha| <= |a0| + |a1| r + |a2| r^2`` from the real
     coefficient forms ``alpha_forms(zeta1)`` and adds ``beta`` and
@@ -322,7 +301,12 @@ def _hankel_objective(functional: FunctionalId, grid: GridSpec, mode: str,
         z3_grid = _zeta3_grid(zeta3_mode, grid)
 
         def oracle(z1, _r, z2):
-            return np.abs(kernel(z1[..., None], z2[..., None], z3_grid)).max(axis=-1)
+            step = max(1, _BLOCK_POINTS // (z2.shape[-1] * z3_grid.size))
+            return np.concatenate([
+                np.abs(kernel(z1[b:b + step, :, None], z2[b:b + step, :, None],
+                              z3_grid)).max(axis=-1)
+                for b in range(0, len(z2), step)
+            ])
 
         def oracle_zeta3(z1, z2):
             return z3_grid[int(np.argmax(np.abs(kernel(z1, z2, z3_grid))))]
@@ -337,7 +321,7 @@ def _hankel_objective(functional: FunctionalId, grid: GridSpec, mode: str,
         alpha, beta = split(z1, z2)
         if mode == "max":
             return np.abs(alpha) + np.abs(beta)
-        return np.maximum(np.abs(alpha) - np.abs(beta), 0.0)
+        return -np.maximum(np.abs(alpha) - np.abs(beta), 0.0)
 
     def max_bound(z1, r):
         a0, a1, a2 = (np.abs(a) for a in alpha_forms(z1))
@@ -356,7 +340,7 @@ def _hankel_objective(functional: FunctionalId, grid: GridSpec, mode: str,
 
 
 def _zero(_x, _r):
-    """Ring bound of the min scans: every objective there is a modulus."""
+    """Ring bound of the min scans, whose objectives are negated moduli."""
     return 0.0
 
 
@@ -386,11 +370,12 @@ def _report(functional, grid: GridSpec, mode: str, seed: int,
         raise DomainViolation("zeta3_mode must be 'exact', 'boundary' or 'disk'")
     grid = grid or GridSpec()
     objective = "modulus"
+    depth = 1
     if functional in _HANKEL:
         scan_objective, depth, zeta3_at, bound = _hankel_objective(
             functional, grid, mode, zeta3_mode
         )
-        val, (z1, z2), samples = _scan(scan_objective, bound, 1.0, grid, mode, depth)
+        val, (z1, z2), nodes = _scan(scan_objective, bound, 1.0, grid)
         z3 = complex(zeta3_at(z1, z2))
         argmax = {
             "zeta1": z1,
@@ -403,14 +388,16 @@ def _report(functional, grid: GridSpec, mode: str, seed: int,
         majorant, reduced = _TOEPLITZ[functional]
         if mode == "max":
             objective = "majorant"
-            val, (p1, z), samples = _scan(
-                lambda x, r, _z: majorant(x, r), majorant, 2.0, grid, mode
+            val, (p1, z), nodes = _scan(
+                lambda x, r, _z: majorant(x, r), majorant, 2.0, grid
             )
         else:
-            val, (p1, z), samples = _scan(
-                lambda x, _r, zg: np.abs(reduced(x, zg)), _zero, 2.0, grid, mode
+            val, (p1, z), nodes = _scan(
+                lambda x, _r, zg: -np.abs(reduced(x, zg)), _zero, 2.0, grid
             )
         argmax = {"p1": p1, "zeta_re": z.real, "zeta_im": z.imag}
+    if mode == "min":
+        val = -val
     bound = SHARP_BOUNDS[functional]
     return BoundReport(
         functional=functional.value,
@@ -420,7 +407,7 @@ def _report(functional, grid: GridSpec, mode: str, seed: int,
         argmax=argmax,
         sharp_bound=bound,
         deviation=bound - val,
-        samples=samples,
+        samples=nodes * depth,
         seed=seed,
     )
 

@@ -4,6 +4,8 @@ import csv
 import io
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -74,6 +76,38 @@ def test_ymax_non_finite_is_argument_error(capsys, value):
     assert code == 2
     assert out == ""
     assert "finite" in err
+
+
+@pytest.mark.parametrize("amplitude", ["nan", "1e100", "inf", "1e200"])
+def test_extremal_non_finite_series_is_argument_error(capsys, amplitude):
+    # a non-finite amplitude, or one whose series overflows, exits 2 with a
+    # message instead of printing NaN or a traceback
+    code, out, err = run(capsys, "extremal", "--c-re", amplitude, "--k", "1",
+                         "--order", "5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("petalstar: ")
+
+
+def _readme_commands():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.splitlines() if line.startswith("petalstar ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(),
+                         ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
+def test_readme_command_examples(capsys, argv):
+    # every example in the README's command-line section exits 0 and prints
+    # strict JSON
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    json.loads(out, parse_constant=reject)
 
 
 def test_verify_json(capsys):

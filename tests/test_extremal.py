@@ -54,6 +54,8 @@ def test_build_extremal_validation():
         ExtremalSpec(1.0, 0)
     with pytest.raises(DomainViolation):
         preset("f9")
+    with pytest.raises(DomainViolation):
+        ExtremalSpec(complex("nan"), 1)
 
 
 def test_petal_map_basics():

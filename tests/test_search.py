@@ -194,6 +194,7 @@ _REFERENCE_GRIDS = {
     "default": GridSpec(),
     "41x16x24x2": GridSpec(41, 16, 24, 2),
     "37x13x11x2x0.45": GridSpec(37, 13, 11, 2, 0.45),
+    "11x7x12x0": GridSpec(11, 7, 12, 0),
 }
 
 
@@ -203,12 +204,16 @@ def test_reports_match_reference(key):
     # from earlier scan cores: the Toeplitz max and all min reports from the
     # separate Hankel and Toeplitz loops, the coarse and default Hankel max
     # reports from the exact zeta3 elimination run as one block per pass,
-    # and the Hankel max reports on the two odd grids from the block scan
-    # that evaluated the complex kernels on every point
+    # the Hankel max reports on the two odd grids from the block scan that
+    # evaluated the complex kernels on every point, and the boundary and
+    # disk zeta3 oracle reports from the scan core that blocked every pass
     mode, grid_name, fid = key.split("/")
     grid = _REFERENCE_GRIDS[grid_name]
-    scan = maximize if mode == "max" else minimize_modulus
-    rep = scan(FunctionalId(fid), grid)
+    if mode == "min":
+        rep = minimize_modulus(FunctionalId(fid), grid)
+    else:
+        zeta3_mode = "exact" if mode == "max" else mode
+        rep = maximize(FunctionalId(fid), grid, zeta3_mode=zeta3_mode)
     assert json.dumps(rep.to_dict()) == json.dumps(_REFERENCE[key])
 
 
@@ -225,9 +230,9 @@ _BLOCK_CASES = [
 
 @pytest.mark.parametrize("scan, fid, zeta3_mode", _BLOCK_CASES)
 def test_block_size_invariance(monkeypatch, scan, fid, zeta3_mode):
-    # one grid row per block reduces to the same report as one block per
-    # pass, including the exact-zero minimum ties spread over many rows and
-    # the Toeplitz majorant, which is broadcast from r alone
+    # the zeta3 oracles reduce one grid ring per block to the same report as
+    # one block per pass; the exact max and the min scans take each pass in
+    # one call and do not depend on the block size at all
     kwargs = {} if zeta3_mode is None else {"zeta3_mode": zeta3_mode}
     reports = []
     for block_points in (1, 10 ** 9):
@@ -246,8 +251,8 @@ _PRUNING_GRIDS = {
 
 @pytest.mark.parametrize("grid_name", _PRUNING_GRIDS)
 def test_pruning_invariance(monkeypatch, grid_name):
-    # a ring bound of +inf (max) or -inf (min) prunes no ring; the pruned
-    # scans reproduce those reports byte for byte, ties included
+    # a ring bound of +inf prunes no ring; the pruned max and min scans
+    # reproduce those reports byte for byte, ties included
     grid = _PRUNING_GRIDS[grid_name]
 
     def reports():
@@ -257,9 +262,8 @@ def test_pruning_invariance(monkeypatch, grid_name):
     pruned = reports()
     scan = search._scan
 
-    def unpruned(objective, _bound, x_hi, grid, mode, *depth):
-        inf = math.inf if mode == "max" else -math.inf
-        return scan(objective, lambda _x, _r: inf, x_hi, grid, mode, *depth)
+    def unpruned(objective, _bound, x_hi, grid):
+        return scan(objective, search._unbounded, x_hi, grid)
 
     monkeypatch.setattr(search, "_scan", unpruned)
     assert reports() == pruned
@@ -275,8 +279,8 @@ def test_pruning_keeps_earlier_ties():
         return (r == 1.0) * np.where(x == 1.0, 2.0, 1.0)
 
     grid = GridSpec(zeta1_steps=3, radial_steps=2, angular_steps=2, refine_rounds=0)
-    pruned = search._scan(objective, bound, 1.0, grid, "max")
-    unpruned = search._scan(objective, search._unbounded, 1.0, grid, "max")
+    pruned = search._scan(objective, bound, 1.0, grid)
+    unpruned = search._scan(objective, search._unbounded, 1.0, grid)
     assert pruned == unpruned == (1.0, (0.0, 1.0), 12)
 
 
