@@ -267,8 +267,8 @@ def disk_objective(abc: ABCTriple, zeta2: complex) -> float:
     return float(abs(a + b * zeta2 + c * zeta2 * zeta2) + 1.0 - abs(zeta2) ** 2)
 
 
-def _check_open_interval(zeta1: float):
-    if not 0.0 < zeta1 < 1.0:
+def _check_open_interval(zeta1):
+    if not np.all((0.0 < zeta1) & (zeta1 < 1.0)):
         raise EndpointSingularity(
             f"zeta1 = {zeta1} hits a pole; the reduction needs 0 < zeta1 < 1"
         )
@@ -300,9 +300,10 @@ def abc_hankel_invlog(zeta1: float) -> ABCTriple:
     return _abc_from_alpha(_hankel_invlog_alpha, zeta1)
 
 
-def case_functions(zeta1: float) -> CaseTable:
+def case_functions(zeta1) -> CaseTable:
     """The six discriminants deciding which maximizer branch applies to the
-    inverse-Hankel triple at ``zeta1``.
+    inverse-Hankel triple at ``zeta1``, a float or an array; an array gives
+    arrays bit-equal to the per-point values.
 
     On (0, 1): t1 > 0, t2 <= 0, t3 > 0, t4 < 0, t5 < 0 throughout, and t6
     changes sign at :data:`CASE_SPLIT_POINT`.

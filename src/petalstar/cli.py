@@ -131,19 +131,14 @@ def _cmd_verify(args) -> int:
     )
     rows = [r.to_dict() for r in reports]
     if args.format == "csv":
+        # the report's columns, argmax flattened last; csv writes floats by repr
         out = io.StringIO()
         writer = csv.writer(out)
-        writer.writerow(
-            ["functional", "mode", "objective", "observed_max", "sharp_bound",
-             "deviation", "samples", "seed", "argmax"]
-        )
+        columns = [k for k in rows[0] if k != "argmax"]
+        writer.writerow(columns + ["argmax"])
         for row in rows:
-            writer.writerow(
-                [row["functional"], row["mode"], row["objective"],
-                 repr(row["observed_max"]), repr(row["sharp_bound"]),
-                 repr(row["deviation"]), row["samples"], row["seed"],
-                 ";".join(f"{k}={v!r}" for k, v in row["argmax"].items())]
-            )
+            writer.writerow([row[k] for k in columns]
+                            + [";".join(f"{k}={v!r}" for k, v in row["argmax"].items())])
         sys.stdout.write(out.getvalue())
     else:
         _emit(rows)

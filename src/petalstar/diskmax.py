@@ -10,15 +10,15 @@ Ties on branch boundaries resolve to the first branch listed; adjacent
 branches agree there (continuity), which the oracle agreement test confirms.
 The fall-through branches are reached by explicit negation of the earlier
 conditions, so the function is total on finite inputs; both functions
-reject non-finite coefficients with
-:class:`~petalstar.errors.DomainViolation`.  The square root in the last
-branch is only evaluated when ``A C < 0``, where its argument is ``>= 1``.
+reject non-finite coefficients, and finite ones whose evaluation overflows,
+with :class:`~petalstar.errors.DomainViolation`.  The square root in the
+last branch is only evaluated when ``A C < 0``, where its argument is ``>= 1``.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -27,15 +27,29 @@ from .errors import DomainViolation
 __all__ = ["quad_disk_max", "quad_disk_max_grid"]
 
 
-def _check_finite(a: float, b: float, c: float):
-    # NaN fails every branch condition and would reach 1 / c^2 with c = 0
-    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
-        raise DomainViolation(f"coefficients must be finite, got ({a}, {b}, {c})")
+def _finite(maximum):
+    """Both maxima reject non-finite coefficients, and an evaluation that
+    overflows, with :class:`~petalstar.errors.DomainViolation`."""
+
+    @wraps(maximum)
+    def checked(a, b, c, *args, **kwargs):
+        # NaN fails every branch condition and would reach 1 / c^2 with c = 0
+        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+            raise DomainViolation(f"coefficients must be finite, got ({a}, {b}, {c})")
+        try:
+            value = maximum(a, b, c, *args, **kwargs)
+        except OverflowError:  # float ** raises where * and + return inf
+            value = math.inf
+        if not math.isfinite(value):
+            raise DomainViolation(f"coefficients ({a}, {b}, {c}) overflow the evaluation")
+        return value
+
+    return checked
 
 
+@_finite
 def quad_disk_max(a: float, b: float, c: float) -> float:
     """Closed-form maximum of ``|a + b z + c z^2| + 1 - |z|^2``, ``|z| <= 1``."""
-    _check_finite(a, b, c)
     aa, ab, ac = abs(a), abs(b), abs(c)
     if a * c >= 0.0:
         if ab >= 2.0 * (1.0 - ac):
@@ -78,6 +92,7 @@ def _polar_grid(radial: int, angular: int):
     return z, z * z, weight
 
 
+@_finite
 def quad_disk_max_grid(a: float, b: float, c: float,
                        radial: int = 600, angular: int = 600) -> float:
     """Grid oracle: maximum of the objective over an ``radial x angular``
@@ -85,10 +100,10 @@ def quad_disk_max_grid(a: float, b: float, c: float,
     must be real."""
     if radial < 2 or angular < 4:
         raise DomainViolation("grid needs radial >= 2 and angular >= 4")
-    _check_finite(a, b, c)
     z, z2, weight = _polar_grid(radial, angular)
     best = -np.inf
-    for s in range(0, z.size, _ORACLE_BLOCK):
-        block = slice(s, s + _ORACLE_BLOCK)
-        best = max(best, float((np.abs(a + b * z[block] + c * z2[block]) + weight[block]).max()))
+    with np.errstate(over="ignore"):  # only the sums overflow, to inf
+        for s in range(0, z.size, _ORACLE_BLOCK):
+            block = slice(s, s + _ORACLE_BLOCK)
+            best = max(best, float((np.abs(a + b * z[block] + c * z2[block]) + weight[block]).max()))
     return best

@@ -166,11 +166,11 @@ def class_check(f: SchlichtSeries, radii, angles: int = 64) -> ClassCheckReport:
 
     t = np.linspace(0.0, 2.0 * np.pi, angles, endpoint=False)
     z = (radii[:, None] * np.exp(1j * t)).ravel()
-    fz = np.polyval(f.coeffs[::-1], z)
+    fz = f(z)
     singular = np.abs(fz) < _SAMPLE_EPS
     if singular.any():
         raise SingularSample(f"|f(z)| < {_SAMPLE_EPS} at z = {z[singular.argmax()]}")
-    q = z * np.polyval(differentiate(f).coeffs[::-1], z) / fz
+    q = z * differentiate(f)(z) / fz
     margin = 1.0 - np.abs(np.sinh(q - 1.0))
     worst = int(margin.argmin())
     rmax = float(radii.max())

@@ -87,43 +87,35 @@ def inv_log_coeffs_closed(f: SchlichtSeries) -> np.ndarray:
     return np.array([0.0, G1, G2, G3], dtype=complex)
 
 
-def hankel_det(entries, q: int, n: int) -> complex:
-    """Determinant of the ``q x q`` Hankel matrix with entry ``(i, j)`` equal
-    to ``entries[n + i + j]``.
-
-    Exact for ``q = 1``, a closed form for ``q = 2``, LU factorization
-    beyond that.
-    """
+def _det(entries, q: int, n: int, offset, span: int) -> complex:
+    """Both determinants: entry ``(i, j)`` is ``entries[n + offset(i, j)]``,
+    at most ``entries[n + span]``; only ``q >= 3`` builds an index matrix."""
     e = np.asarray(entries, dtype=complex)
     if q < 1 or n < 0:
         raise IndexOutOfRange("need q >= 1 and n >= 0")
-    top = n + 2 * (q - 1)
+    top = n + span
     if e.size <= top:
         raise IndexOutOfRange(f"entries must be indexable up to {top}, got length {e.size}")
     if q == 1:
         return complex(e[n])
     if q == 2:
-        return complex(e[n] * e[n + 2] - e[n + 1] ** 2)
-    idx = np.arange(q)[:, None] + np.arange(q)[None, :]
-    return complex(np.linalg.det(e[n + idx]))
+        return complex(e[n] * e[n + offset(1, 1)] - e[n + offset(0, 1)] ** 2)
+    k = np.arange(q)
+    return complex(np.linalg.det(e[n + offset(k[:, None], k[None, :])]))
+
+
+def hankel_det(entries, q: int, n: int) -> complex:
+    """Determinant of the ``q x q`` Hankel matrix with entry ``(i, j)`` equal
+    to ``entries[n + i + j]``: exact for ``q = 1``, a closed form for
+    ``q = 2``, LU factorization beyond that."""
+    return _det(entries, q, n, lambda i, j: i + j, 2 * (q - 1))
 
 
 def toeplitz_det(entries, q: int, n: int) -> complex:
     """Determinant of the ``q x q`` symmetric Toeplitz matrix with entry
     ``(i, j)`` equal to ``entries[n + |i - j|]``; evaluated as
     :func:`hankel_det` is."""
-    e = np.asarray(entries, dtype=complex)
-    if q < 1 or n < 0:
-        raise IndexOutOfRange("need q >= 1 and n >= 0")
-    top = n + q - 1
-    if e.size <= top:
-        raise IndexOutOfRange(f"entries must be indexable up to {top}, got length {e.size}")
-    if q == 1:
-        return complex(e[n])
-    if q == 2:
-        return complex(e[n] ** 2 - e[n + 1] ** 2)
-    idx = np.abs(np.arange(q)[:, None] - np.arange(q)[None, :])
-    return complex(np.linalg.det(e[n + idx]))
+    return _det(entries, q, n, lambda i, j: abs(i - j), q - 1)
 
 
 # -- second determinants of the log coefficient sequences ---------------------

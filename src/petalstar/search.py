@@ -195,17 +195,6 @@ def toeplitz_invlog_majorant(p1, t):
 # -- grid scan core ------------------------------------------------------------
 
 
-def _shrink(lo: float, hi: float, center: float, factor: float,
-            clip_lo: float = None, clip_hi: float = None):
-    w = (hi - lo) * factor
-    nlo, nhi = center - w / 2.0, center + w / 2.0
-    if clip_lo is not None:
-        nlo = max(nlo, clip_lo)
-    if clip_hi is not None:
-        nhi = min(nhi, clip_hi)
-    return nlo, nhi
-
-
 def _scan(objective, bound, x_hi: float, grid: GridSpec):
     """Maximize ``objective`` over ``x in [0, x_hi]`` times the closed disk.
 
@@ -222,20 +211,22 @@ def _scan(objective, bound, x_hi: float, grid: GridSpec):
     it at or before the seed ring; when an earlier pass's incumbent is at
     least the seed, the rings whose bound exceeds the incumbent.  No skipped
     ring holds the first C-order maximum, so the result is the unpruned
-    scan's; a bound of ``+inf`` prunes nothing.  Returns ``(value, (x,
-    zeta), nodes)``, ``nodes`` counting every grid node of every pass.
+    scan's; a bound of ``+inf`` prunes nothing.  Each refine pass scans the
+    window ``lo`` to ``hi`` over ``(x, |zeta|, arg zeta)``, shrunk around the
+    incumbent and clipped to the domain but for the angle.  Returns
+    ``(value, (x, zeta), nodes)``, ``nodes`` counting every grid node.
     """
     two_pi = 2.0 * math.pi
-    win = {"x": (0.0, x_hi), "r": (0.0, 1.0), "t": (0.0, two_pi)}
+    lo, hi = np.zeros(3), np.array([x_hi, 1.0, two_pi])
     n, rs, ts = grid.zeta1_steps, grid.radial_steps, grid.angular_steps
     best_val = None
     best_params = None
 
     for rnd in range(grid.refine_rounds + 1):
-        x = np.linspace(*win["x"], n)
-        r = np.linspace(*win["r"], rs)
+        x = np.linspace(lo[0], hi[0], n)
+        r = np.linspace(lo[1], hi[1], rs)
         # the first pass's window is the whole circle, whose end 2 pi is 0
-        t = np.linspace(*win["t"], ts, endpoint=rnd > 0)
+        t = np.linspace(lo[2], hi[2], ts, endpoint=rnd > 0)
         zg = r[:, None] * np.exp(1j * t)[None, :]
 
         def rings(ids):
@@ -262,9 +253,10 @@ def _scan(objective, bound, x_hi: float, grid: GridSpec):
                 best_params = (float(x[i]), complex(r[j] * np.exp(1j * t[k])))
 
         x_c, z_c = best_params
-        win["x"] = _shrink(*win["x"], x_c, grid.refine_shrink, 0.0, x_hi)
-        win["r"] = _shrink(*win["r"], abs(z_c), grid.refine_shrink, 0.0, 1.0)
-        win["t"] = _shrink(*win["t"], float(np.angle(z_c)) % two_pi, grid.refine_shrink)
+        center = np.array([x_c, abs(z_c), float(np.angle(z_c)) % two_pi])
+        w = (hi - lo) * grid.refine_shrink
+        lo = np.maximum(center - w / 2.0, (0.0, 0.0, -math.inf))
+        hi = np.minimum(center + w / 2.0, (x_hi, 1.0, math.inf))
 
     return best_val, best_params, (grid.refine_rounds + 1) * n * rs * ts
 
@@ -469,7 +461,8 @@ def envelope_check(step: float = 1e-4) -> dict:
       the grid argmax sits at the peak location;
     * both envelopes stay below the certified bound 1/9 (the outer one
       attains it exactly at the right endpoint);
-    * the sign table of the first five discriminants on a 1e-3 grid.
+    * the sign table of the six discriminants, from one
+      :func:`case_functions` call on the 999 points of a 1e-3 grid.
     """
     root = _bisect(lambda t: cth.case_functions(t).t6, 0.05, 0.95)
     peak_loc = cth.ENVELOPE_INNER_PEAK
@@ -489,17 +482,12 @@ def envelope_check(step: float = 1e-4) -> dict:
     outer_arg = float(t_outer[int(np.argmax(outer_vals))])
 
     sign_grid = np.arange(1e-3, 1.0, 1e-3)
-    signs_ok = True
-    t6_split_ok = True
-    for t in sign_grid:
-        c = cth.case_functions(float(t))
-        signs_ok &= c.t1 > 0 and c.t2 <= 0 and c.t3 > 0 and c.t4 < 0 and c.t5 < 0
-        if t < root - 1e-3:
-            t6_split_ok &= c.t6 <= 0
-        elif t > root + 1e-3:
-            t6_split_ok &= c.t6 > 0
+    c = cth.case_functions(sign_grid)
+    signs_ok = np.all((c.t1 > 0) & (c.t2 <= 0) & (c.t3 > 0) & (c.t4 < 0) & (c.t5 < 0))
+    t6_split_ok = (np.all(c.t6[sign_grid < root - 1e-3] <= 0)
+                   and np.all(c.t6[sign_grid > root + 1e-3] > 0))
 
-    bound = 1.0 / 9.0
+    bound = SHARP_BOUNDS[FunctionalId.HANKEL_INVLOG]
     report = {
         "split_root": root,
         "split_closed_form": cth.CASE_SPLIT_POINT,
@@ -518,15 +506,9 @@ def envelope_check(step: float = 1e-4) -> dict:
         "sign_table_ok": bool(signs_ok),
         "t6_split_consistent": bool(t6_split_ok),
     }
-    report["ok"] = bool(
-        report["split_agreement"] <= 1e-10
-        and report["inner_below_peak"]
-        and report["inner_argmax_at_peak"]
-        and report["inner_below_bound"]
-        and report["outer_below_bound"]
-        and report["sign_table_ok"]
-        and report["t6_split_consistent"]
-    )
+    # every check above is a bool field
+    report["ok"] = report["split_agreement"] <= 1e-10 and all(
+        v for v in report.values() if isinstance(v, bool))
     return report
 
 
@@ -540,45 +522,31 @@ def rotation_check(f: SchlichtSeries, thetas) -> dict:
     ``e^{2 i theta} g1^2 - e^{4 i theta} g2^2``, so their moduli are only
     invariant when one of the two coefficients vanishes (as it does for
     every preset extremal); the report records the exact-law residuals and
-    the observed modulus spread.
+    the observed modulus spread, reduced from one ``(len(thetas), 4)`` array
+    of the functionals (0 for no angle).
     """
-    base_hl = hankel2_log(f)
-    base_hi = hankel2_invlog(f)
-    g = log_coeffs(f, 2)
-    G = inv_log_coeffs(f, 2)
-
-    res_hl = res_hi = res_tl = res_ti = 0.0
-    mag_hl = mag_hi = 0.0
-    tl_mags = []
-    ti_mags = []
-    for theta in thetas:
-        ft = rotate(f, float(theta))
-        w2 = np.exp(2j * theta)
-        w4 = np.exp(4j * theta)
-        hl = hankel2_log(ft)
-        hi = hankel2_invlog(ft)
-        tl = toeplitz2_log(ft)
-        ti = toeplitz2_invlog(ft)
-        res_hl = max(res_hl, abs(hl - w4 * base_hl))
-        res_hi = max(res_hi, abs(hi - w4 * base_hi))
-        mag_hl = max(mag_hl, abs(abs(hl) - abs(base_hl)))
-        mag_hi = max(mag_hi, abs(abs(hi) - abs(base_hi)))
-        res_tl = max(res_tl, abs(tl - (w2 * g[1] ** 2 - w4 * g[2] ** 2)))
-        res_ti = max(res_ti, abs(ti - (w2 * G[1] ** 2 - w4 * G[2] ** 2)))
-        tl_mags.append(abs(tl))
-        ti_mags.append(abs(ti))
+    thetas = np.asarray(thetas, dtype=float)
+    fns = (hankel2_log, hankel2_invlog, toeplitz2_log, toeplitz2_invlog)
+    vals = np.array([[fn(rotate(f, theta)) for fn in fns] for theta in thetas.tolist()],
+                    dtype=complex).reshape(-1, 4)
+    w2, w4 = np.exp(2j * thetas)[:, None], np.exp(4j * thetas)[:, None]
+    g = np.array([log_coeffs(f, 2), inv_log_coeffs(f, 2)])
+    base = np.array([hankel2_log(f), hankel2_invlog(f)])
+    laws = np.hstack([w4 * base, w2 * g[:, 1] ** 2 - w4 * g[:, 2] ** 2])
+    res = np.abs(vals - laws).max(axis=0, initial=0.0)
+    mags = np.abs(vals)
+    mag = np.abs(mags[:, :2] - np.abs(base)).max(axis=0, initial=0.0)
+    spread = np.ptp(mags[:, 2:], axis=0) if thetas.size else np.zeros(2)
 
     report = {
-        "hankel_log_law_residual": float(res_hl),
-        "hankel_invlog_law_residual": float(res_hi),
-        "hankel_log_magnitude_residual": float(mag_hl),
-        "hankel_invlog_magnitude_residual": float(mag_hi),
-        "toeplitz_log_law_residual": float(res_tl),
-        "toeplitz_invlog_law_residual": float(res_ti),
-        "toeplitz_log_magnitude_spread": float(max(tl_mags) - min(tl_mags)) if tl_mags else 0.0,
-        "toeplitz_invlog_magnitude_spread": float(max(ti_mags) - min(ti_mags)) if ti_mags else 0.0,
+        "hankel_log_law_residual": float(res[0]),
+        "hankel_invlog_law_residual": float(res[1]),
+        "hankel_log_magnitude_residual": float(mag[0]),
+        "hankel_invlog_magnitude_residual": float(mag[1]),
+        "toeplitz_log_law_residual": float(res[2]),
+        "toeplitz_invlog_law_residual": float(res[3]),
+        "toeplitz_log_magnitude_spread": float(spread[0]),
+        "toeplitz_invlog_magnitude_spread": float(spread[1]),
     }
-    report["ok"] = bool(
-        max(res_hl, res_hi, mag_hl, mag_hi, res_tl, res_ti) <= 1e-10
-    )
+    report["ok"] = bool(max(res.max(), mag.max()) <= 1e-10)
     return report

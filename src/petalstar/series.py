@@ -86,12 +86,9 @@ class Series:
     def __repr__(self) -> str:
         return f"Series(order={self.order}, coeffs={np.round(self.coeffs, 12)!r})"
 
-    def __call__(self, z: complex) -> complex:
-        """Evaluate the truncated polynomial at ``z`` (Horner)."""
-        acc = 0j
-        for c in self.coeffs[::-1]:
-            acc = acc * z + c
-        return acc
+    def __call__(self, z):
+        """Evaluate the polynomial at ``z``, a number or an array (Horner)."""
+        return np.polyval(self.coeffs[::-1], z)
 
     # -- ring operations ----------------------------------------------------
 
@@ -255,7 +252,7 @@ def log_over_z(f: Series) -> Series:
         raise NotNormalized("log_over_z needs c0 = 0 and c1 = 1")
     g = Series(f.coeffs[1:])  # f / z, constant term 1
     d = differentiate(g) / g  # (log g)' to order g.order - 1
-    return Series(np.concatenate(([0j], d.coeffs / np.arange(1, g.order + 1))))
+    return integrate_over_t(Series(np.concatenate(([0j], d.coeffs))))
 
 
 def exp_series(f: Series) -> Series:

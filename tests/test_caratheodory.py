@@ -261,6 +261,20 @@ def test_case_functions_signs_on_grid():
             assert tab.t6 > 0
 
 
+def test_case_functions_array_matches_points():
+    # one call on the 999-point grid is bit-equal to the per-point calls
+    grid = np.arange(1e-3, 1.0, 1e-3)
+    table = case_functions(grid)
+    for i, t in enumerate(grid):
+        assert tuple(col[i] for col in table) == tuple(case_functions(float(t)))
+
+
+@pytest.mark.parametrize("bad", [0.0, 1.0, float("nan")])
+def test_case_functions_array_endpoint_raises(bad):
+    with pytest.raises(EndpointSingularity):
+        case_functions(np.array([0.25, bad, 0.75]))
+
+
 def test_case_functions_match_defining_combinations():
     # printed rational forms vs the defining |A|,|B|,|C| expressions
     for t in np.linspace(0.05, 0.95, 37):

@@ -78,6 +78,20 @@ def test_ymax_non_finite_is_argument_error(capsys, value):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("abc", [
+    ["--a", "1e308", "--b", "1e308", "--c", "1e308"],
+    ["--a", "1e160", "--b", "1e160", "--c=-1e160"],
+    ["--a", "1e160", "--b", "1e160", "--c=-1e160", "--oracle", "20"],
+], ids=["1e308", "1e160", "1e160-with-oracle"])
+def test_ymax_overflow_is_argument_error(capsys, abc):
+    # finite coefficients whose maximum overflows used to print Infinity or
+    # die with an OverflowError traceback
+    code, out, err = run(capsys, "ymax", *abc)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("petalstar: ") and "overflow" in err
+
+
 @pytest.mark.parametrize("amplitude", ["nan", "1e100", "inf", "1e200"])
 def test_extremal_non_finite_series_is_argument_error(capsys, amplitude):
     # a non-finite amplitude, or one whose series overflows, exits 2 with a
@@ -137,6 +151,20 @@ def test_verify_all_csv(capsys):
     assert float(rows[3]["observed_max"]) == pytest.approx(1.25, abs=5e-4)
 
 
+_REFERENCE_OUTPUTS = json.loads(
+    (Path(__file__).parent / "data" / "reference_outputs.json").read_text()
+)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_verify_output_matches_reference(capsys, fmt):
+    # the default-grid reports, byte for byte as recorded from the writer
+    # with a hand-typed CSV column list
+    code, out, _ = run(capsys, "verify", "--format", fmt)
+    assert code == 0
+    assert out == _REFERENCE_OUTPUTS[f"verify/{fmt}"]
+
+
 def test_verify_byte_determinism(capsys):
     argv = ["verify", "--functional", "hankel-invlog", "--zeta1-steps", "15",
             "--radial-steps", "7", "--angular-steps", "12", "--refine-rounds", "2",
@@ -192,6 +220,13 @@ def test_classcheck_bad_radius(capsys):
     code, _, err = run(capsys, "classcheck", "--preset", "f0", "--max-radius", "1.5")
     assert code == 2
     assert "max-radius" in err
+
+
+def test_classcheck_no_radii(capsys):
+    code, out, err = run(capsys, "classcheck", "--preset", "f0", "--radii", "0")
+    assert code == 2
+    assert out == ""
+    assert "--radii" in err
 
 
 def test_envelope(capsys):

@@ -1,5 +1,7 @@
 """Closed-form disk maximizer against its polar-grid oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,22 @@ def test_non_finite_coefficients_rejected(bad, slot):
         quad_disk_max(*abc)
     with pytest.raises(DomainViolation):
         quad_disk_max_grid(*abc, 50, 50)
+
+
+@pytest.mark.parametrize("abc", [(1e308, 1e308, 1e308), (1e160, 1e160, -1e160)],
+                         ids=["inf-sum", "pow-overflow"])
+def test_closed_form_overflow_rejected(abc):
+    # (1 + |c|)^2 raised OverflowError and 3e308 summed to inf
+    with pytest.raises(DomainViolation, match="overflow"):
+        quad_disk_max(*abc)
+
+
+def test_grid_oracle_overflow_rejected():
+    # the block sums overflowed to inf with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainViolation, match="overflow"):
+            quad_disk_max_grid(1e308, 1e308, 1e308, 50, 50)
 
 
 def test_grid_oracle_matches_full_grid():

@@ -149,6 +149,8 @@ def test_class_check_guards():
         class_check(f, [0.0, 0.5])
     with pytest.raises(DomainViolation):
         class_check(f, [1.1])
+    with pytest.raises(DomainViolation):
+        class_check(f, [0.5], angles=0)
     # a series vanishing at a sampled point is reported, not silently divided
     g = SchlichtSeries.from_tail([-5.0], order=6)  # zero at z = 0.2
     with pytest.raises(SingularSample):

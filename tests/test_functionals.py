@@ -139,6 +139,17 @@ def test_toeplitz_det_orders():
         toeplitz_det([1, 2], 2, 1)
 
 
+@pytest.mark.parametrize("det", [hankel_det, toeplitz_det], ids=lambda det: det.__name__)
+@pytest.mark.parametrize("entries, q, n", [
+    ([1, 2, 3, 4, 5], 0, 1),
+    ([1, 2, 3, 4, 5], 2, -1),
+    ([1, 2], 2, 1),  # too short for both
+], ids=["q0", "n-1", "short"])
+def test_det_validation(det, entries, q, n):
+    with pytest.raises(IndexOutOfRange):
+        det(entries, q, n)
+
+
 # -- the four closed-form functionals ---------------------------------------------
 
 

@@ -18,11 +18,15 @@ from petalstar import (
     envelope_check,
     hankel2_invlog,
     hankel2_log,
+    inv_log_coeffs,
+    log_coeffs,
     maximize,
     minimize_modulus,
     p_from_zeta,
     preset,
+    rotate,
     rotation_check,
+    toeplitz2_invlog,
     toeplitz2_log,
     toeplitz_invlog_majorant,
     toeplitz_invlog_reduced,
@@ -352,6 +356,16 @@ def test_envelope_check_report():
     assert rep["outer_max"] <= 1 / 9 + 1e-12
 
 
+_REFERENCE_OUTPUTS = json.loads(
+    (Path(__file__).parent / "data" / "reference_outputs.json").read_text()
+)
+
+
+def test_envelope_check_matches_reference():
+    # byte for byte the report of the per-point sign-table loop it replaced
+    assert json.dumps(envelope_check()) == json.dumps(_REFERENCE_OUTPUTS["envelope_check"])
+
+
 def test_rotation_check_f0():
     f = preset("f0", 8)
     rep = rotation_check(f, [0.0, math.pi / 4, 1.0, 2.5])
@@ -367,6 +381,38 @@ def test_rotation_check_random_series():
     rng = np.random.default_rng(SEED + 41)
     rep = rotation_check(random_schlicht(rng, 6), np.linspace(0, 2 * math.pi, 9))
     assert rep["ok"]
+
+
+def _rotation_reference(f, thetas):
+    """The rotation-law residuals and spreads, one angle at a time."""
+    g, G = log_coeffs(f, 2), inv_log_coeffs(f, 2)
+    rows = []
+    for theta in thetas:
+        ft = rotate(f, float(theta))
+        w2, w4 = np.exp(2j * theta), np.exp(4j * theta)
+        hl, hi, tl, ti = hankel2_log(ft), hankel2_invlog(ft), toeplitz2_log(ft), toeplitz2_invlog(ft)
+        rows.append([abs(hl - w4 * hankel2_log(f)), abs(hi - w4 * hankel2_invlog(f)),
+                     abs(abs(hl) - abs(hankel2_log(f))), abs(abs(hi) - abs(hankel2_invlog(f))),
+                     abs(tl - (w2 * g[1] ** 2 - w4 * g[2] ** 2)),
+                     abs(ti - (w2 * G[1] ** 2 - w4 * G[2] ** 2)), abs(tl), abs(ti)])
+    if not rows:
+        return [0.0] * 8
+    cols = list(zip(*rows))
+    return [max(c) for c in cols[:6]] + [max(c) - min(c) for c in cols[6:]]
+
+
+@pytest.mark.parametrize("name, thetas", [
+    ("f0", [0.0, math.pi / 4, 1.0, 2.5]),
+    ("f3", np.linspace(0, 2 * math.pi, 9)),
+    ("f1", []),
+])
+def test_rotation_check_matches_loop(name, thetas):
+    rep = rotation_check(preset(name, 8), thetas)
+    ref = _rotation_reference(preset(name, 8), thetas)
+    fields = [v for k, v in rep.items() if k != "ok"]
+    assert len(fields) == len(ref)
+    for got, want in zip(fields, ref):
+        assert abs(got - want) <= 1e-15
 
 
 def test_rotation_preserves_toeplitz_magnitude_for_presets():

@@ -296,6 +296,17 @@ def test_eval_points():
     assert abs(geo(0.5) - expect) <= 1e-12
 
 
+def test_eval_array_matches_points():
+    # an array of points evaluates elementwise, as the points one by one do
+    rng = np.random.default_rng(SEED + 6)
+    f = random_schlicht(rng, 8)
+    z = 0.9 * (rng.uniform(-1, 1, (3, 5)) + 1j * rng.uniform(-1, 1, (3, 5))) / np.sqrt(2)
+    vals = f(z)
+    assert vals.shape == z.shape
+    for zi, vi in zip(z.ravel(), vals.ravel()):
+        assert abs(f(complex(zi)) - vi) <= 1e-15
+
+
 def test_serialization_roundtrip():
     s = S(1 + 2j, -3, 0.25j)
     d = s.to_dict()
