@@ -15,10 +15,11 @@ For the starlike class studied here the subordination transfers these to the
 function coefficients via ``a2 = p1/2``, ``a3 = p2/4`` and ``a4 = (-p1^3 -
 6 p1 p2 + 24 p3) / 144``, which turns every second-determinant functional
 into an explicit polynomial in the parameters.  This module holds those
-polynomials (in both the ``p`` and the ``zeta`` variables), the reduction of
-the Toeplitz functionals to the two parameters ``(p1, zeta)``, and the case
-analysis machinery used to certify the sharp Hankel bound of the inverse
-coefficients: the quadratic triples ``(A, B, C)``, the six case
+polynomials (in the ``p`` variables; the Hankel ones also in the ``zeta``
+variables, as ``alpha + beta zeta3`` from real coefficient forms), the
+reduction of the Toeplitz functionals to the two parameters ``(p1, zeta)``,
+and the case analysis machinery used to certify the sharp Hankel bound of
+the inverse coefficients: the quadratic triples ``(A, B, C)``, the six case
 discriminants, and the two envelope curves.
 
 Endpoints ``zeta1 in {0, 1}`` are special: the zeta-variable functionals
@@ -124,49 +125,22 @@ def hankel_invlog_from_p(p) -> complex:
     )
 
 
-def _hankel_log_zeta(z1, z2, z3):
-    """Array-safe zeta-variable form of the log-Hankel functional."""
-    z2sq = z2 * z2
-    return (
-        -9.0 * z2sq
-        + 6.0 * z1 ** 2 * z2sq
-        + z1 ** 4 * (-2.0 + 3.0 * z2sq)
-        + 12.0 * z1 * z3
-        - 12.0 * z1 ** 3 * z3
-        + 12.0 * z1 * (-1.0 + z1 ** 2) * z3 * np.abs(z2) ** 2
-    ) / 144.0
-
-
-def _hankel_invlog_zeta(z1, z2, z3):
-    """Array-safe zeta-variable form of the inverse-log-Hankel functional."""
-    z2sq = z2 * z2
-    return (
-        6.0 * z1 ** 2 * (-3.0 + z2) * z2
-        - 9.0 * z2sq
-        + z1 ** 4 * (16.0 + 18.0 * z2 + 3.0 * z2sq)
-        + 12.0 * z1 * z3
-        - 12.0 * z1 ** 3 * z3
-        + 12.0 * z1 * (-1.0 + z1 ** 2) * z3 * np.abs(z2) ** 2
-    ) / 144.0
-
-
-# Both kernels are ``alpha + beta zeta3`` with real coefficient forms:
-# ``alpha = a0 + a1 zeta2 + a2 zeta2^2`` with ``a0, a1, a2`` depending on
-# ``zeta1`` alone, and the shared ``beta`` depends on ``zeta1`` and
-# ``|zeta2|`` alone.  The max scans bound each ``(zeta1, |zeta2|)`` ring
-# with these real forms.
+# Both Hankel functionals are ``alpha + beta zeta3`` with ``alpha = a0 +
+# a1 zeta2 + a2 zeta2^2``, real ``a_k(zeta1)``, and a shared real ``beta``
+# of ``zeta1`` and ``|zeta2|``.  These forms are the only zeta-variable
+# source of both: the scans, ring bounds and ``(A, B, C)`` triples read them.
 
 
 def _hankel_log_alpha(z1):
-    """Real ``(a0, a1, a2)`` with ``_hankel_log_zeta(z1, z2, 0) =
-    a0 + a1 z2 + a2 z2^2``; ``a1`` is 0."""
+    """Real ``(a0, a1, a2)`` of the log-Hankel ``alpha = a0 + a1 zeta2 +
+    a2 zeta2^2``; ``a1`` is 0."""
     u = z1 * z1
     return -2.0 * u * u / 144.0, 0.0, (-9.0 + 6.0 * u + 3.0 * u * u) / 144.0
 
 
 def _hankel_invlog_alpha(z1):
-    """Real ``(a0, a1, a2)`` with ``_hankel_invlog_zeta(z1, z2, 0) =
-    a0 + a1 z2 + a2 z2^2``."""
+    """Real ``(a0, a1, a2)`` of the inverse-log-Hankel ``alpha = a0 +
+    a1 zeta2 + a2 zeta2^2``."""
     u = z1 * z1
     return (
         16.0 * u * u / 144.0,
@@ -176,19 +150,31 @@ def _hankel_invlog_alpha(z1):
 
 
 def _hankel_beta(z1, r):
-    """The ``zeta3`` coefficient of both kernels at ``|zeta2| = r``:
+    """The ``zeta3`` coefficient of both functionals at ``|zeta2| = r``:
     ``12 z1 (1 - z1^2) (1 - r^2) / 144``, real and nonnegative."""
     return 12.0 * z1 * (1.0 - z1 * z1) * ((1.0 - r * r) / 144.0)
 
 
+def _hankel_split(alpha_forms, z1, z2, r):
+    """Array-safe ``(alpha, beta)`` of a Hankel functional ``alpha + beta
+    zeta3`` at ``zeta1 = z1``, ``zeta2 = z2`` with ``r = |zeta2|``."""
+    a0, a1, a2 = alpha_forms(z1)
+    return a0 + a1 * z2 + a2 * (z2 * z2), _hankel_beta(z1, r)
+
+
+def _hankel_from_zeta(alpha_forms, point: CaratheodoryPoint) -> complex:
+    alpha, beta = _hankel_split(alpha_forms, point.zeta1, point.zeta2, abs(point.zeta2))
+    return complex(alpha + beta * point.zeta3)
+
+
 def hankel_log_from_zeta(point: CaratheodoryPoint) -> complex:
     """Zeta-variable log-Hankel value; equals the ``p``-path by substitution."""
-    return complex(_hankel_log_zeta(point.zeta1, point.zeta2, point.zeta3))
+    return _hankel_from_zeta(_hankel_log_alpha, point)
 
 
 def hankel_invlog_from_zeta(point: CaratheodoryPoint) -> complex:
     """Zeta-variable inverse-log-Hankel value."""
-    return complex(_hankel_invlog_zeta(point.zeta1, point.zeta2, point.zeta3))
+    return _hankel_from_zeta(_hankel_invlog_alpha, point)
 
 
 # -- Toeplitz functionals and their two-parameter reduction -------------------
@@ -268,10 +254,13 @@ def disk_objective(abc: ABCTriple, zeta2: complex) -> float:
 
 
 def _check_open_interval(zeta1):
-    if not np.all((0.0 < zeta1) & (zeta1 < 1.0)):
+    outside = ~((0.0 < np.asarray(zeta1)) & (zeta1 < 1.0))
+    if outside.any():
+        # an array names its first bad point and their count, not every value
+        where = zeta1 if outside.ndim == 0 else (
+            f"{zeta1[outside][0]} (first of {outside.sum()} bad points)")
         raise EndpointSingularity(
-            f"zeta1 = {zeta1} hits a pole; the reduction needs 0 < zeta1 < 1"
-        )
+            f"zeta1 = {where} hits a pole; the reduction needs 0 < zeta1 < 1")
 
 
 def _abc_from_alpha(alpha_forms, zeta1: float) -> ABCTriple:

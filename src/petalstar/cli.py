@@ -119,6 +119,8 @@ def _cmd_extremal(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if not args.tol >= 0.0:  # NaN fails too
+        raise PetalstarError("--tol must be >= 0")
     grid = GridSpec(**{f.name: getattr(args, f.name) for f in dataclasses.fields(GridSpec)})
     if args.functional == "all":
         targets = list(FunctionalId)

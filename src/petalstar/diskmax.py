@@ -57,8 +57,11 @@ def quad_disk_max(a: float, b: float, c: float) -> float:
         # here |b| < 2 (1 - |c|) forces |c| < 1
         return 1.0 + aa + b * b / (4.0 * (1.0 - ac))
 
-    # a c < 0: c != 0, so 1/c^2 is finite
-    gate = -4.0 * a * c * (c ** -2 - 1.0)
+    # a c < 0, so c != 0; where 1/c^2 overflows, the equal 4 |a| (1/|c| - |c|)
+    try:
+        gate = -4.0 * a * c * (c ** -2 - 1.0)
+    except OverflowError:
+        gate = 4.0 * aa * (1.0 / ac - ac)
     if gate <= b * b and ab < 2.0 * (1.0 - ac):
         return 1.0 - aa + b * b / (4.0 * (1.0 - ac))
     if b * b < min(4.0 * (1.0 + ac) ** 2, gate):

@@ -37,7 +37,8 @@ real coefficient forms, ``|a0| + |a1| r + |a2| r^2 + beta`` for ``alpha =
 a0 + a1 zeta2 + a2 zeta2^2`` with real ``a_k(zeta1)`` and ``beta = 12
 zeta1 (1 - zeta1^2) (1 - r^2) / 144``.  The Toeplitz majorant is its own
 bound, and a negated modulus is bounded by 0.  The ``zeta3`` oracles take
-the bound ``+inf`` and evaluate every ring, in blocks.
+the bound ``+inf`` and evaluate every ring.  All Hankel scans evaluate the
+split ``alpha + beta zeta3`` of these real forms and no other expansion.
 
 Scans are deterministic and run on one thread: exact ties in the
 arg-extremum resolve to the lexicographically first grid point, and reports
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import partial, reduce
 from enum import Enum
 
 import numpy as np
@@ -79,13 +81,8 @@ __all__ = [
     "toeplitz_invlog_majorant",
 ]
 
-#: Kernel points a ``zeta3`` oracle evaluates per block of whole rings (at
-#: least one ring).  The oracles are the only scans that evaluate every
-#: ring: a default-grid disk pass is 8,241 rings x 64 x 2,624 points.
-_BLOCK_POINTS = 32_768
-
 #: Rounding margin added to the Hankel max ring bound.  It must exceed the
-#: bound's largest shortfall below the kernels' ``|alpha| + |beta|``: about
+#: bound's largest shortfall below the split's ``|alpha| + beta``: about
 #: 1e-16 over the default grid's first pass and 10^5 random points.
 _BOUND_MARGIN = 1e-13
 
@@ -276,56 +273,50 @@ def _hankel_objective(functional: FunctionalId, grid: GridSpec, mode: str,
     :func:`_scan`.
 
     Returns ``(objective, depth, zeta3_at, bound)``; ``depth`` counts the
-    kernel points per grid node, ``zeta3_at(zeta1, zeta2)`` is the ``zeta3``
-    at which the objective's value is attained, and ``bound`` is the ring
-    bound for :func:`_scan` (``+inf`` for the oracles, which block their
-    rings by :data:`_BLOCK_POINTS`).  With ``kernel, alpha_forms =
-    _HANKEL[functional]``, the exact objective is ``|alpha| + |beta|`` (max)
-    or ``-max(|alpha| - |beta|, 0)`` (min) with ``alpha = kernel(zeta1,
-    zeta2, 0)`` and ``beta = kernel(zeta1, zeta2, 1) - alpha``.  Its max
-    bound takes ``|alpha| <= |a0| + |a1| r + |a2| r^2`` from the real
-    coefficient forms ``alpha_forms(zeta1)`` and adds ``beta`` and
-    :data:`_BOUND_MARGIN`; its min bound is 0.
+    ``zeta3`` points per grid node, ``zeta3_at(zeta1, zeta2)`` is the
+    ``zeta3`` at which the objective's value is attained, and ``bound`` is
+    the ring bound for :func:`_scan` (``+inf`` for the oracles).  Every
+    objective reads the split ``alpha + beta zeta3`` of the real coefficient
+    forms ``_HANKEL[functional]``, with ``beta`` taken once per ring from the
+    scan's ``r = |zeta2|``.  The exact objective is ``|alpha| + beta`` (max)
+    or ``-max(|alpha| - beta, 0)`` (min).  Its max bound takes ``|alpha| <=
+    |a0| + |a1| r + |a2| r^2`` from the same forms and adds ``beta`` and
+    :data:`_BOUND_MARGIN`; its min bound is 0.  The oracles keep a running
+    maximum of ``|alpha + beta zeta3|`` over their ``zeta3`` points.
     """
-    kernel, alpha_forms = _HANKEL[functional]
+    alpha_forms = _HANKEL[functional]
+    split = partial(cth._hankel_split, alpha_forms)
 
     if mode == "max" and zeta3_mode != "exact":
         z3_grid = _zeta3_grid(zeta3_mode, grid)
 
-        def oracle(z1, _r, z2):
-            step = max(1, _BLOCK_POINTS // (z2.shape[-1] * z3_grid.size))
-            return np.concatenate([
-                np.abs(kernel(z1[b:b + step, :, None], z2[b:b + step, :, None],
-                              z3_grid)).max(axis=-1)
-                for b in range(0, len(z2), step)
-            ])
+        def oracle(z1, r, z2):
+            alpha, beta = split(z1, z2, r)
+            return reduce(np.maximum, (np.abs(alpha + beta * z3) for z3 in z3_grid))
 
         def oracle_zeta3(z1, z2):
-            return z3_grid[int(np.argmax(np.abs(kernel(z1, z2, z3_grid))))]
+            alpha, beta = split(z1, z2, abs(z2))
+            return z3_grid[int(np.argmax(np.abs(alpha + beta * z3_grid)))]
 
         return oracle, z3_grid.size, oracle_zeta3, _unbounded
 
-    def split(z1, z2):
-        alpha = kernel(z1, z2, 0.0)
-        return alpha, kernel(z1, z2, 1.0) - alpha
-
-    def objective(z1, _r, z2):
-        alpha, beta = split(z1, z2)
+    def objective(z1, r, z2):
+        alpha, beta = split(z1, z2, r)
         if mode == "max":
-            return np.abs(alpha) + np.abs(beta)
-        return -np.maximum(np.abs(alpha) - np.abs(beta), 0.0)
+            return np.abs(alpha) + beta
+        return -np.maximum(np.abs(alpha) - beta, 0.0)
 
     def max_bound(z1, r):
         a0, a1, a2 = (np.abs(a) for a in alpha_forms(z1))
         return a0 + a1 * r + a2 * (r * r) + cth._hankel_beta(z1, r) + _BOUND_MARGIN
 
     def zeta3_at(z1, z2):
-        alpha, beta = (complex(v) for v in split(z1, z2))
+        alpha, beta = (complex(v) for v in split(z1, z2, abs(z2)))
         if alpha == 0.0 or beta == 0.0:
             return 1.0 if mode == "max" else 0.0
-        # the unit phase lining beta zeta3 up with alpha; the minimum takes
-        # the opposite phase, shortened until beta zeta3 cancels alpha
-        z3 = alpha * beta.conjugate() / (abs(alpha) * abs(beta))
+        # the unit phase lining beta zeta3 (beta > 0) up with alpha; the minimum
+        # takes the opposite phase, shortened until beta zeta3 cancels alpha
+        z3 = alpha / abs(alpha)
         return z3 if mode == "max" else -z3 * min(abs(alpha) / abs(beta), 1.0)
 
     return objective, 1, zeta3_at, max_bound if mode == "max" else _zero
@@ -341,11 +332,10 @@ def _unbounded(_x, _r):
     return math.inf
 
 
-#: Hankel functionals: the ``zeta``-variable kernel and the real coefficient
-#: forms of its ``zeta3``-free part.
+#: Hankel functionals: the real coefficient forms of their ``alpha``.
 _HANKEL = {
-    FunctionalId.HANKEL_LOG: (cth._hankel_log_zeta, cth._hankel_log_alpha),
-    FunctionalId.HANKEL_INVLOG: (cth._hankel_invlog_zeta, cth._hankel_invlog_alpha),
+    FunctionalId.HANKEL_LOG: cth._hankel_log_alpha,
+    FunctionalId.HANKEL_INVLOG: cth._hankel_invlog_alpha,
 }
 
 #: Toeplitz functionals: the proof majorant (max) and the reduced form (min).

@@ -132,6 +132,14 @@ def test_hankel_invlog_from_zeta_endpoints():
     assert hankel_invlog_from_zeta(CaratheodoryPoint(0, 0, 0)) == 0
 
 
+def test_hankel_invlog_from_zeta_exact_on_face():
+    # at zeta1 = 1 the forms reduce to alpha = 16/144 and beta = 0, so the
+    # value is 1/9 to the last bit, on the rim |zeta2| = 1 too
+    for z2, z3 in [(0, 0), (0.7j, 0.2), (1, -1), (np.exp(0.3j), 1j),
+                   (np.exp(-2.1j), np.exp(0.9j)), (0.89 - 0.068j, 1)]:
+        assert hankel_invlog_from_zeta(CaratheodoryPoint(1.0, z2, z3)) == 1 / 9
+
+
 def test_substitution_consistency_bulk():
     # zeta-variable polynomials against the p-variable route, 10^4 points
     rng = np.random.default_rng(SEED + 21)
@@ -273,6 +281,20 @@ def test_case_functions_array_matches_points():
 def test_case_functions_array_endpoint_raises(bad):
     with pytest.raises(EndpointSingularity):
         case_functions(np.array([0.25, bad, 0.75]))
+
+
+def test_case_functions_array_message_names_first_bad_point():
+    # one bad point in the 999-point grid is named with the count, not
+    # printed with all 999 values; a scalar keeps its message
+    grid = np.arange(1e-3, 1.0, 1e-3)
+    grid[500] = 0.0
+    with pytest.raises(EndpointSingularity) as exc:
+        case_functions(grid)
+    message = str(exc.value)
+    assert len(message) < 200
+    assert "0.0" in message and "1 bad point" in message
+    with pytest.raises(EndpointSingularity, match=r"^zeta1 = 1\.0 hits a pole"):
+        case_functions(1.0)
 
 
 def test_case_functions_match_defining_combinations():

@@ -92,6 +92,15 @@ def test_ymax_overflow_is_argument_error(capsys, abc):
     assert err.startswith("petalstar: ") and "overflow" in err
 
 
+def test_ymax_tiny_c(capsys):
+    # 1 / c^2 overflows in the closed form's gate; the maximum is still 2
+    code, out, _ = run(capsys, "ymax", "--a", "1", "--b", "0", "--c=-1e-200",
+                       "--oracle", "50")
+    assert code == 0
+    data = json.loads(out)
+    assert data["piecewise"] == data["bruteforce"] == 2.0
+
+
 @pytest.mark.parametrize("amplitude", ["nan", "1e100", "inf", "1e200"])
 def test_extremal_non_finite_series_is_argument_error(capsys, amplitude):
     # a non-finite amplitude, or one whose series overflows, exits 2 with a
@@ -174,15 +183,34 @@ def test_verify_byte_determinism(capsys):
     assert first == second
 
 
-def test_verify_failure_exit_code(capsys):
-    # an unreachable tolerance must flip the exit code to 1
+def test_verify_failure_exit_code(capsys, monkeypatch):
+    # a sharpness gap above the tolerance must flip the exit code to 1
+    monkeypatch.setitem(search.SHARP_BOUNDS, search.FunctionalId.TOEPLITZ_LOG, 1.0)
     code, out, _ = run(
         capsys, "verify", "--functional", "toeplitz-log", "--zeta1-steps", "5",
         "--radial-steps", "3", "--angular-steps", "4", "--refine-rounds", "0",
-        "--tol", "-1",
+        "--tol", "0.1",
     )
     assert code == 1
-    json.loads(out)  # the reports are still emitted
+    (rep,) = json.loads(out)  # the reports are still emitted
+    assert rep["deviation"] == 0.5
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_verify_bad_tol_is_argument_error(capsys, tol):
+    code, out, err = run(capsys, "verify", "--functional", "toeplitz-log",
+                         "--zeta1-steps", "5", f"--tol={tol}")
+    assert code == 2
+    assert out == ""
+    assert "--tol" in err
+
+
+def test_verify_infinite_tol_accepted(capsys):
+    code, out, _ = run(capsys, "verify", "--functional", "toeplitz-log",
+                       "--zeta1-steps", "5", "--radial-steps", "3",
+                       "--angular-steps", "4", "--refine-rounds", "0", "--tol", "inf")
+    assert code == 0
+    json.loads(out)
 
 
 def test_verify_unsound_scan_reports(capsys, monkeypatch):

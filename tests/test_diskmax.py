@@ -50,6 +50,15 @@ def test_closed_form_overflow_rejected(abc):
         quad_disk_max(*abc)
 
 
+def test_tiny_c_gate_does_not_overflow():
+    # c ** -2 overflows in the A C < 0 gate; the equal form 4 |a| (1/|c| - |c|)
+    # stays finite, and the maximum agrees with the oracle
+    assert quad_disk_max(1, 0, -1e-200) == 2.0
+    assert quad_disk_max_grid(1, 0, -1e-200, 50, 50) == 2.0
+    for abc in [(1e-300, 0, -1e-160), (1e-300, 1e-300, -1e-160), (1, 0.5, -1e-170)]:
+        assert abs(quad_disk_max(*abc) - quad_disk_max_grid(*abc, 400, 400)) <= 5e-3
+
+
 def test_grid_oracle_overflow_rejected():
     # the block sums overflowed to inf with a RuntimeWarning
     with warnings.catch_warnings():

@@ -18,6 +18,8 @@ from petalstar import (
     envelope_check,
     hankel2_invlog,
     hankel2_log,
+    hankel_invlog_from_p,
+    hankel_log_from_p,
     inv_log_coeffs,
     log_coeffs,
     maximize,
@@ -119,9 +121,18 @@ def test_exact_zeta3_matches_oracles():
             maximize(fid, grid, zeta3_mode="interior")
 
 
+def _split_kernel(alpha_forms):
+    """``alpha + beta zeta3`` from the scans' split, array-safe in all three
+    parameters."""
+    def kernel(z1, z2, z3):
+        alpha, beta = cth._hankel_split(alpha_forms, z1, z2, np.abs(z2))
+        return alpha + beta * z3
+    return kernel
+
+
 _HANKEL_CASES = [
-    pytest.param(fid, kernel, id=kernel.__name__)
-    for fid, (kernel, _) in search._HANKEL.items()
+    pytest.param(fid, _split_kernel(forms), id=forms.__name__.replace("alpha", "zeta"))
+    for fid, forms in search._HANKEL.items()
 ]
 
 
@@ -136,13 +147,52 @@ def test_exact_zeta3_elimination_pointwise(fid, kernel):
     for _ in range(200):
         z1 = float(rng.uniform())
         z2 = complex(math.sqrt(rng.uniform()) * np.exp(2j * math.pi * rng.uniform()))
-        exact = float(objective(np.asarray(z1), None, np.asarray(z2)))
+        exact = float(objective(np.asarray(z1), np.asarray(abs(z2)), np.asarray(z2)))
         sampled = float(np.abs(kernel(z1, z2, circle)).max())
         assert sampled <= exact + 1e-15
         assert exact - sampled <= 1e-6
         z3 = complex(zeta3_at(z1, z2))
         assert abs(abs(z3) - 1.0) <= 1e-15
         assert abs(abs(kernel(z1, z2, z3)) - exact) <= 1e-15
+
+
+def _random_rings(seed, m=200):
+    # m random (zeta1, |zeta2|) rings with 8 angles each, shaped for _scan
+    rng = np.random.default_rng(seed)
+    z1 = rng.uniform(size=(m, 1))
+    r = np.sqrt(rng.uniform(size=(m, 1)))
+    return z1, r, r * np.exp(2j * math.pi * rng.uniform(size=(m, 8)))
+
+
+@pytest.mark.parametrize("fid, kernel", _HANKEL_CASES)
+def test_exact_zeta3_min_pointwise(fid, kernel):
+    # max(|alpha| - |beta|, 0) lies below a fine disk zeta3 scan and is
+    # attained at the reported zeta3
+    objective, _, zeta3_at, _ = _hankel_objective(fid, GridSpec(), "min", "exact")
+    disk = (np.linspace(0.0, 1.0, 257)[:, None]
+            * np.exp(2j * math.pi * np.arange(256) / 256)).ravel()
+    z1, r, z2 = _random_rings(SEED + 44, 40)
+    least = -objective(z1, r, z2)
+    for i, j in np.ndindex(z2.shape):
+        sampled = float(np.abs(kernel(z1[i, 0], z2[i, j], disk)).min())
+        assert least[i, j] <= sampled + 1e-15
+        assert sampled - least[i, j] <= 1e-3
+        z3 = complex(zeta3_at(z1[i, 0], z2[i, j]))
+        assert abs(z3) <= 1.0 + 1e-15
+        assert abs(abs(kernel(z1[i, 0], z2[i, j], z3)) - least[i, j]) <= 1e-15
+
+
+@pytest.mark.parametrize("fid, kernel", _HANKEL_CASES)
+def test_zeta3_oracles_pointwise(fid, kernel):
+    # each oracle's ring values are the largest modulus over its zeta3 grid
+    grid = GridSpec(radial_steps=5, angular_steps=32)
+    z1, r, z2 = _random_rings(SEED + 45)
+    for zeta3_mode in ("boundary", "disk"):
+        oracle, depth, _, _ = _hankel_objective(fid, grid, "max", zeta3_mode)
+        z3_grid = search._zeta3_grid(zeta3_mode, grid)
+        assert depth == z3_grid.size
+        want = np.abs(kernel(z1[..., None], z2[..., None], z3_grid)).max(axis=-1)
+        assert np.abs(oracle(z1, r, z2) - want).max() <= 1e-16
 
 
 def _first_pass_and_random_points():
@@ -160,16 +210,37 @@ def _first_pass_and_random_points():
     return [(z1, r[None, :, None], z2), (rz1, np.abs(rz2), rz2)]
 
 
-@pytest.mark.parametrize("kernel, alpha_coeffs", list(search._HANKEL.values()))
+def _hankel_log_zeta(z1, z2, z3):
+    """The log-Hankel functional at a parameter point, by the ``p``-path."""
+    return hankel_log_from_p(p_from_zeta(CaratheodoryPoint(z1, z2, z3)))
+
+
+def _hankel_invlog_zeta(z1, z2, z3):
+    """The inverse-log-Hankel functional at a parameter point, by the ``p``-path."""
+    return hankel_invlog_from_p(p_from_zeta(CaratheodoryPoint(z1, z2, z3)))
+
+
+@pytest.mark.parametrize("kernel, alpha_coeffs", [
+    (_hankel_log_zeta, cth._hankel_log_alpha),
+    (_hankel_invlog_zeta, cth._hankel_invlog_alpha),
+])
 def test_hankel_coefficient_forms(kernel, alpha_coeffs):
     # alpha = a0 + a1 zeta2 + a2 zeta2^2 from the real coefficients and the
-    # closed-form beta split the kernel as kernel(z3) = alpha + beta z3
-    for z1, r, z2 in _first_pass_and_random_points():
+    # closed-form beta split the independent p-path value as alpha + beta z3,
+    # on a small polar grid with both faces and on random points
+    rng = np.random.default_rng(SEED + 46)
+    grid = [(float(z1), complex(r * np.exp(1j * t)))
+            for z1 in np.linspace(0.0, 1.0, 11) for r in np.linspace(0.0, 1.0, 5)
+            for t in np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)]
+    random = [(float(rng.uniform()),
+               complex(math.sqrt(rng.uniform()) * np.exp(2j * math.pi * rng.uniform())))
+              for _ in range(2000)]
+    for z1, z2 in grid + random:
         a0, a1, a2 = alpha_coeffs(z1)
         alpha = kernel(z1, z2, 0.0)
-        assert np.abs(a0 + a1 * z2 + a2 * z2 * z2 - alpha).max() <= 1e-15
-        beta = cth._hankel_beta(z1, r)
-        assert np.abs(beta - (kernel(z1, z2, 1.0) - alpha)).max() <= 1e-15
+        assert abs(a0 + a1 * z2 + a2 * z2 * z2 - alpha) <= 1e-15
+        beta = cth._hankel_beta(z1, abs(z2))
+        assert abs(beta - (kernel(z1, z2, 1.0) - alpha)) <= 1e-15
 
 
 @pytest.mark.parametrize("fid, kernel", _HANKEL_CASES)
@@ -188,6 +259,14 @@ def test_ring_bound_sound(monkeypatch, fid, kernel):
         shortfall = max(shortfall, float((reference - bound(z1, r)).max()))
         monkeypatch.setattr(search, "_BOUND_MARGIN", margin)
     assert margin >= 100.0 * shortfall
+
+
+def test_default_grid_invlog_max_is_exact():
+    # the zeta1 = 1 face is 1/9 exactly, so the default-grid scan reads no
+    # rounding excess above the bound
+    rep = maximize(FunctionalId.HANKEL_INVLOG)
+    assert rep.observed_max == 1 / 9
+    assert rep.deviation == 0.0
 
 
 _REFERENCE = json.loads((Path(__file__).parent / "data" / "reference_reports.json").read_text())
@@ -210,7 +289,10 @@ def test_reports_match_reference(key):
     # reports from the exact zeta3 elimination run as one block per pass,
     # the Hankel max reports on the two odd grids from the block scan that
     # evaluated the complex kernels on every point, and the boundary and
-    # disk zeta3 oracle reports from the scan core that blocked every pass
+    # disk zeta3 oracle reports from the scan core that blocked every pass;
+    # the hankel-invlog max and oracle reports whose argmax lies on the
+    # zeta1 = 1 face, and the log max report on (37, 13, 11, 2, 0.45), were
+    # re-recorded when the scans moved to the real coefficient forms
     mode, grid_name, fid = key.split("/")
     grid = _REFERENCE_GRIDS[grid_name]
     if mode == "min":
@@ -219,30 +301,6 @@ def test_reports_match_reference(key):
         zeta3_mode = "exact" if mode == "max" else mode
         rep = maximize(FunctionalId(fid), grid, zeta3_mode=zeta3_mode)
     assert json.dumps(rep.to_dict()) == json.dumps(_REFERENCE[key])
-
-
-_BLOCK_CASES = [
-    (scan, fid, zeta3_mode)
-    for fid in FunctionalId
-    for scan, zeta3_mode in ((maximize, "exact"), (minimize_modulus, None))
-] + [
-    (maximize, fid, zeta3_mode)
-    for fid in (FunctionalId.HANKEL_LOG, FunctionalId.HANKEL_INVLOG)
-    for zeta3_mode in ("boundary", "disk")
-]
-
-
-@pytest.mark.parametrize("scan, fid, zeta3_mode", _BLOCK_CASES)
-def test_block_size_invariance(monkeypatch, scan, fid, zeta3_mode):
-    # the zeta3 oracles reduce one grid ring per block to the same report as
-    # one block per pass; the exact max and the min scans take each pass in
-    # one call and do not depend on the block size at all
-    kwargs = {} if zeta3_mode is None else {"zeta3_mode": zeta3_mode}
-    reports = []
-    for block_points in (1, 10 ** 9):
-        monkeypatch.setattr(search, "_BLOCK_POINTS", block_points)
-        reports.append(json.dumps(scan(fid, COARSE, **kwargs).to_dict()))
-    assert reports[0] == reports[1]
 
 
 _PRUNING_GRIDS = {
