@@ -16,11 +16,18 @@ function coefficients via ``a2 = p1/2``, ``a3 = p2/4`` and ``a4 = (-p1^3 -
 6 p1 p2 + 24 p3) / 144``, which turns every second-determinant functional
 into an explicit polynomial in the parameters.  This module holds those
 polynomials (in the ``p`` variables; the Hankel ones also in the ``zeta``
-variables, as ``alpha + beta zeta3`` from real coefficient forms), the
-reduction of the Toeplitz functionals to the two parameters ``(p1, zeta)``,
-and the case analysis machinery used to certify the sharp Hankel bound of
-the inverse coefficients: the quadratic triples ``(A, B, C)``, the six case
+variables, as ``alpha + beta zeta3``), the reduction of the Toeplitz
+functionals to the two parameters ``(p1, zeta)``, and the case analysis
+machinery used to certify the sharp Hankel bound of the inverse
+coefficients: the quadratic triples ``(A, B, C)``, the six case
 discriminants, and the two envelope curves.
+
+Every zeta-variable form, the Hankel ``alpha`` in ``zeta2`` and the reduced
+Toeplitz forms in ``zeta``, is ``c0 + c1 z + c2 z^2`` with real ``c_k``
+quadratic in ``u = zeta1^2`` or ``u = p1^2``.  Each is held once, as an
+integer table with its denominator; the scans, ring bounds, Toeplitz
+majorants and ``(A, B, C)`` triples all read these tables, and the
+``p``-variable forms are their independent reference.
 
 Endpoints ``zeta1 in {0, 1}`` are special: the zeta-variable functionals
 remain valid there, but the ``(A, B, C)`` reductions have poles and raise
@@ -106,6 +113,38 @@ def a_from_p(p) -> tuple:
     return (complex(a2), complex(a3), complex(a4))
 
 
+# -- zeta-variable forms: one integer table each ------------------------------
+
+
+# Each table is ``(rows, denominator)``; row ``k`` holds the ``u^0, u^1, u^2``
+# coefficients of ``c_k`` in ``c0 + c1 z + c2 z^2``.
+_HANKEL_LOG_ALPHA = (((0, 0, -2), (0, 0, 0), (-9, 6, 3)), 144)
+_HANKEL_INVLOG_ALPHA = (((0, 0, 16), (0, -18, 18), (-9, 6, 3)), 144)
+_TOEPLITZ_LOG = (((0, 16, 0), (0, 0, 0), (-16, 8, -1)), 256)
+_TOEPLITZ_INVLOG = (((0, 16, -4), (0, 16, -4), (-16, 8, -1)), 256)
+
+
+def _coeffs(table, x):
+    """Array-safe real ``(c0, c1, c2)`` of a table at ``x``: Horner in ``u =
+    x^2`` on each integer row, divided once by the denominator, so that
+    exact rows stay exact (``16/144`` on the ``zeta1 = 1`` face)."""
+    rows, den = table
+    u = x * x
+    return [(a + u * (b + u * c)) / den for a, b, c in rows]
+
+
+def _quadratic(c, z):
+    """Array-safe ``c0 + c1 z + c2 z^2`` for coefficients ``c``."""
+    return c[0] + c[1] * z + c[2] * (z * z)
+
+
+def _majorant(table, x, t):
+    """Term-wise absolute-value majorant of a form at ``t = |z|``: the
+    table's absolute values, evaluated as the form is."""
+    rows, den = table
+    return _quadratic(_coeffs(([[abs(a) for a in row] for row in rows], den), x), t)
+
+
 # -- Hankel functionals in p- and zeta-variables ------------------------------
 
 
@@ -125,56 +164,31 @@ def hankel_invlog_from_p(p) -> complex:
     )
 
 
-# Both Hankel functionals are ``alpha + beta zeta3`` with ``alpha = a0 +
-# a1 zeta2 + a2 zeta2^2``, real ``a_k(zeta1)``, and a shared real ``beta``
-# of ``zeta1`` and ``|zeta2|``.  These forms are the only zeta-variable
-# source of both: the scans, ring bounds and ``(A, B, C)`` triples read them.
-
-
-def _hankel_log_alpha(z1):
-    """Real ``(a0, a1, a2)`` of the log-Hankel ``alpha = a0 + a1 zeta2 +
-    a2 zeta2^2``; ``a1`` is 0."""
-    u = z1 * z1
-    return -2.0 * u * u / 144.0, 0.0, (-9.0 + 6.0 * u + 3.0 * u * u) / 144.0
-
-
-def _hankel_invlog_alpha(z1):
-    """Real ``(a0, a1, a2)`` of the inverse-log-Hankel ``alpha = a0 +
-    a1 zeta2 + a2 zeta2^2``."""
-    u = z1 * z1
-    return (
-        16.0 * u * u / 144.0,
-        18.0 * u * (u - 1.0) / 144.0,
-        (-9.0 + 6.0 * u + 3.0 * u * u) / 144.0,
-    )
-
-
 def _hankel_beta(z1, r):
     """The ``zeta3`` coefficient of both functionals at ``|zeta2| = r``:
     ``12 z1 (1 - z1^2) (1 - r^2) / 144``, real and nonnegative."""
     return 12.0 * z1 * (1.0 - z1 * z1) * ((1.0 - r * r) / 144.0)
 
 
-def _hankel_split(alpha_forms, z1, z2, r):
+def _hankel_split(table, z1, z2, r):
     """Array-safe ``(alpha, beta)`` of a Hankel functional ``alpha + beta
     zeta3`` at ``zeta1 = z1``, ``zeta2 = z2`` with ``r = |zeta2|``."""
-    a0, a1, a2 = alpha_forms(z1)
-    return a0 + a1 * z2 + a2 * (z2 * z2), _hankel_beta(z1, r)
+    return _quadratic(_coeffs(table, z1), z2), _hankel_beta(z1, r)
 
 
-def _hankel_from_zeta(alpha_forms, point: CaratheodoryPoint) -> complex:
-    alpha, beta = _hankel_split(alpha_forms, point.zeta1, point.zeta2, abs(point.zeta2))
+def _hankel_from_zeta(table, point: CaratheodoryPoint) -> complex:
+    alpha, beta = _hankel_split(table, point.zeta1, point.zeta2, abs(point.zeta2))
     return complex(alpha + beta * point.zeta3)
 
 
 def hankel_log_from_zeta(point: CaratheodoryPoint) -> complex:
     """Zeta-variable log-Hankel value; equals the ``p``-path by substitution."""
-    return _hankel_from_zeta(_hankel_log_alpha, point)
+    return _hankel_from_zeta(_HANKEL_LOG_ALPHA, point)
 
 
 def hankel_invlog_from_zeta(point: CaratheodoryPoint) -> complex:
     """Zeta-variable inverse-log-Hankel value."""
-    return _hankel_from_zeta(_hankel_invlog_alpha, point)
+    return _hankel_from_zeta(_HANKEL_INVLOG_ALPHA, point)
 
 
 # -- Toeplitz functionals and their two-parameter reduction -------------------
@@ -200,25 +214,6 @@ def reduced_p2(p1, zeta):
     return (p1 ** 2 + (4.0 - p1 ** 2) * zeta) / 2.0
 
 
-def _toeplitz_log_reduced(p1, zeta):
-    """Array-safe reduced form on ``(p1, zeta)``."""
-    z2 = zeta * zeta
-    return (
-        -(p1 ** 4) * z2 - 16.0 * z2 + 16.0 * p1 ** 2 + 8.0 * p1 ** 2 * z2
-    ) / 256.0
-
-
-def _toeplitz_invlog_reduced(p1, zeta):
-    """Array-safe reduced form on ``(p1, zeta)``."""
-    z2 = zeta * zeta
-    u = p1 ** 2
-    u2 = p1 ** 4
-    return (
-        16.0 * u - 4.0 * u2 + 16.0 * u * zeta - 4.0 * u2 * zeta
-        - 16.0 * z2 + 8.0 * u * z2 - u2 * z2
-    ) / 256.0
-
-
 def _check_reduced_domain(p1: float, zeta: complex):
     if not -DOMAIN_TOL <= p1 <= 2.0 + DOMAIN_TOL:
         raise DomainViolation(f"p1 = {p1} outside [0, 2]")
@@ -230,13 +225,13 @@ def toeplitz_log_reduced(p1: float, zeta: complex) -> complex:
     ``p1 in [0, 2]``, ``|zeta| <= 1``; equals
     ``toeplitz_log_from_p(p1, reduced_p2(p1, zeta))``."""
     _check_reduced_domain(p1, zeta)
-    return complex(_toeplitz_log_reduced(p1, zeta))
+    return complex(_quadratic(_coeffs(_TOEPLITZ_LOG, p1), zeta))
 
 
 def toeplitz_invlog_reduced(p1: float, zeta: complex) -> complex:
     """Two-parameter form of the inverse-log-Toeplitz functional."""
     _check_reduced_domain(p1, zeta)
-    return complex(_toeplitz_invlog_reduced(p1, zeta))
+    return complex(_quadratic(_coeffs(_TOEPLITZ_INVLOG, p1), zeta))
 
 
 # -- case analysis for the inverse-Hankel sharp bound --------------------------
@@ -263,11 +258,11 @@ def _check_open_interval(zeta1):
             f"zeta1 = {where} hits a pole; the reduction needs 0 < zeta1 < 1")
 
 
-def _abc_from_alpha(alpha_forms, zeta1: float) -> ABCTriple:
+def _abc_from_alpha(table, zeta1: float) -> ABCTriple:
     # alpha = b0 (A + B zeta2 + C zeta2^2) and beta = b0 (1 - |zeta2|^2)
     _check_open_interval(zeta1)
     b0 = _hankel_beta(zeta1, 0.0)
-    return ABCTriple(*(a / b0 for a in alpha_forms(zeta1)))
+    return ABCTriple(*(a / b0 for a in _coeffs(table, zeta1)))
 
 
 def abc_hankel_log(zeta1: float) -> ABCTriple:
@@ -277,7 +272,7 @@ def abc_hankel_log(zeta1: float) -> ABCTriple:
     ``C = -(zeta1^2 + 3) / (4 zeta1)``; both A and C are negative on (0, 1),
     so the product ``A C`` is nonnegative throughout.
     """
-    return _abc_from_alpha(_hankel_log_alpha, zeta1)
+    return _abc_from_alpha(_HANKEL_LOG_ALPHA, zeta1)
 
 
 def abc_hankel_invlog(zeta1: float) -> ABCTriple:
@@ -286,7 +281,7 @@ def abc_hankel_invlog(zeta1: float) -> ABCTriple:
     ``A = 4 zeta1^3 / (3 (1 - zeta1^2))``, ``B = -(3/2) zeta1``,
     ``C = -(3 + zeta1^2) / (4 zeta1)``; here ``A > 0 > C`` on (0, 1).
     """
-    return _abc_from_alpha(_hankel_invlog_alpha, zeta1)
+    return _abc_from_alpha(_HANKEL_INVLOG_ALPHA, zeta1)
 
 
 def case_functions(zeta1) -> CaseTable:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,10 @@ class ExtremalSpec:
     k: int
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "k", operator.index(self.k))
+        except TypeError:
+            raise DomainViolation(f"power k = {self.k!r} is not an integer") from None
         if self.k < 1:
             raise DomainViolation("power k must be >= 1")
         if not cmath.isfinite(self.c):

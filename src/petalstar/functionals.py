@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import IndexOutOfRange, InsufficientOrder
+from .errors import DomainViolation, IndexOutOfRange, InsufficientOrder
 from .series import SchlichtSeries, Series, log_over_z, revert
 
 __all__ = [
@@ -43,13 +43,20 @@ def _require_order(f: Series, order: int, what: str):
         raise InsufficientOrder(f"{what} needs series order >= {order}, got {f.order}")
 
 
+def _require_count(f: Series, m: int, what: str):
+    # a negative m would slice the coefficients from the end
+    if m < 0:
+        raise DomainViolation(f"{what} needs m >= 0")
+    _require_order(f, m + 1, what)
+
+
 def log_coeffs(f: SchlichtSeries, m: int) -> np.ndarray:
     """First ``m`` logarithmic coefficients of ``f``.
 
     Returns an array ``g`` of length ``m + 1`` with ``g[n]`` the ``n``-th
     coefficient for ``n = 1..m`` and ``g[0] = 0``.
     """
-    _require_order(f, m + 1, f"log_coeffs(m={m})")
+    _require_count(f, m, f"log_coeffs(m={m})")
     lo = log_over_z(f)
     return lo.coeffs[: m + 1] / 2.0
 
@@ -73,7 +80,7 @@ def inv_log_coeffs(f: SchlichtSeries, m: int) -> np.ndarray:
     Computed from the definition: the logarithmic coefficients of the
     reverted series.  Indexing as in :func:`log_coeffs`.
     """
-    _require_order(f, m + 1, f"inv_log_coeffs(m={m})")
+    _require_count(f, m, f"inv_log_coeffs(m={m})")
     return log_coeffs(revert(f), m)
 
 

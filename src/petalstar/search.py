@@ -22,6 +22,7 @@ unit disk on a polar grid, refined around the incumbent.
   absolute-value majorant of the reduced form (see
   :func:`toeplitz_log_majorant`), which dominates the functional modulus
   pointwise and attains the bound at the corner ``(p1, |zeta|) = (2, 1)``.
+  It is the reduced form's coefficient table taken in absolute value.
   ``maximize`` therefore scans the majorant for them, and records which
   objective was scanned in the report.  The pointwise modulus itself stays
   well below the majorant (its true maximum over the same domain is 1/4
@@ -37,8 +38,8 @@ real coefficient forms, ``|a0| + |a1| r + |a2| r^2 + beta`` for ``alpha =
 a0 + a1 zeta2 + a2 zeta2^2`` with real ``a_k(zeta1)`` and ``beta = 12
 zeta1 (1 - zeta1^2) (1 - r^2) / 144``.  The Toeplitz majorant is its own
 bound, and a negated modulus is bounded by 0.  The ``zeta3`` oracles take
-the bound ``+inf`` and evaluate every ring.  All Hankel scans evaluate the
-split ``alpha + beta zeta3`` of these real forms and no other expansion.
+the bound ``+inf`` and evaluate every ring.  Every scan, bound and
+majorant reads the coefficient tables of :mod:`petalstar.caratheodory`.
 
 Scans are deterministic and run on one thread: exact ties in the
 arg-extremum resolve to the lexicographically first grid point, and reports
@@ -49,6 +50,7 @@ not.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass
 from functools import partial, reduce
 from enum import Enum
@@ -120,7 +122,8 @@ class GridSpec:
     ``zeta1_steps`` also serves as the ``p1`` axis resolution for the
     Toeplitz scans.  After the initial full-domain pass, ``refine_rounds``
     local passes rescan a window around the incumbent whose width shrinks
-    by ``refine_shrink`` each round.
+    by ``refine_shrink`` each round.  Step counts and ``refine_rounds`` are
+    integers; NumPy integers are stored as Python ints.
     """
 
     zeta1_steps: int = 201
@@ -130,6 +133,14 @@ class GridSpec:
     refine_shrink: float = 0.3
 
     def __post_init__(self):
+        # NumPy integers become Python ints, so that sample counts stay exact
+        # and reports serialize
+        for name in ("zeta1_steps", "radial_steps", "angular_steps", "refine_rounds"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise DomainViolation(
+                    f"{name} = {getattr(self, name)!r} is not an integer") from None
         if min(self.zeta1_steps, self.radial_steps, self.angular_steps) < 2:
             raise DomainViolation("all step counts must be >= 2")
         if self.refine_rounds < 0:
@@ -174,19 +185,13 @@ def toeplitz_log_majorant(p1, t):
     Dominates ``|toeplitz_log_reduced(p1, zeta)|`` for every phase of
     ``zeta`` and peaks at the corner ``(2, 1)`` with value 1/2.
     """
-    u = p1 ** 2
-    return (u * u * t * t + 16.0 * t * t + 16.0 * u + 8.0 * u * t * t) / 256.0
+    return cth._majorant(cth._TOEPLITZ_LOG, p1, t)
 
 
 def toeplitz_invlog_majorant(p1, t):
     """Term-wise absolute-value majorant of the reduced inverse-log-Toeplitz
     form; peaks at the corner ``(2, 1)`` with value 5/4."""
-    u = p1 ** 2
-    u2 = u * u
-    return (
-        16.0 * u + 4.0 * u2 + 16.0 * u * t + 4.0 * u2 * t
-        + 16.0 * t * t + 8.0 * u * t * t + u2 * t * t
-    ) / 256.0
+    return cth._majorant(cth._TOEPLITZ_INVLOG, p1, t)
 
 
 # -- grid scan core ------------------------------------------------------------
@@ -284,8 +289,8 @@ def _hankel_objective(functional: FunctionalId, grid: GridSpec, mode: str,
     :data:`_BOUND_MARGIN`; its min bound is 0.  The oracles keep a running
     maximum of ``|alpha + beta zeta3|`` over their ``zeta3`` points.
     """
-    alpha_forms = _HANKEL[functional]
-    split = partial(cth._hankel_split, alpha_forms)
+    table = _HANKEL[functional]
+    split = partial(cth._hankel_split, table)
 
     if mode == "max" and zeta3_mode != "exact":
         z3_grid = _zeta3_grid(zeta3_mode, grid)
@@ -307,8 +312,8 @@ def _hankel_objective(functional: FunctionalId, grid: GridSpec, mode: str,
         return -np.maximum(np.abs(alpha) - beta, 0.0)
 
     def max_bound(z1, r):
-        a0, a1, a2 = (np.abs(a) for a in alpha_forms(z1))
-        return a0 + a1 * r + a2 * (r * r) + cth._hankel_beta(z1, r) + _BOUND_MARGIN
+        moduli = [np.abs(c) for c in cth._coeffs(table, z1)]
+        return cth._quadratic(moduli, r) + cth._hankel_beta(z1, r) + _BOUND_MARGIN
 
     def zeta3_at(z1, z2):
         alpha, beta = (complex(v) for v in split(z1, z2, abs(z2)))
@@ -332,16 +337,16 @@ def _unbounded(_x, _r):
     return math.inf
 
 
-#: Hankel functionals: the real coefficient forms of their ``alpha``.
+#: Hankel functionals: the coefficient table of their ``alpha``.
 _HANKEL = {
-    FunctionalId.HANKEL_LOG: cth._hankel_log_alpha,
-    FunctionalId.HANKEL_INVLOG: cth._hankel_invlog_alpha,
+    FunctionalId.HANKEL_LOG: cth._HANKEL_LOG_ALPHA,
+    FunctionalId.HANKEL_INVLOG: cth._HANKEL_INVLOG_ALPHA,
 }
 
-#: Toeplitz functionals: the proof majorant (max) and the reduced form (min).
+#: Toeplitz functionals: the coefficient table of their reduced form.
 _TOEPLITZ = {
-    FunctionalId.TOEPLITZ_LOG: (toeplitz_log_majorant, cth._toeplitz_log_reduced),
-    FunctionalId.TOEPLITZ_INVLOG: (toeplitz_invlog_majorant, cth._toeplitz_invlog_reduced),
+    FunctionalId.TOEPLITZ_LOG: cth._TOEPLITZ_LOG,
+    FunctionalId.TOEPLITZ_INVLOG: cth._TOEPLITZ_INVLOG,
 }
 
 
@@ -367,16 +372,15 @@ def _report(functional, grid: GridSpec, mode: str, seed: int,
             "zeta3_im": z3.imag,
         }
     else:
-        majorant, reduced = _TOEPLITZ[functional]
+        table = _TOEPLITZ[functional]
         if mode == "max":
             objective = "majorant"
-            val, (p1, z), nodes = _scan(
-                lambda x, r, _z: majorant(x, r), majorant, 2.0, grid
-            )
+            majorant = partial(cth._majorant, table)
+            val, (p1, z), nodes = _scan(lambda x, r, _z: majorant(x, r), majorant, 2.0, grid)
         else:
             val, (p1, z), nodes = _scan(
-                lambda x, _r, zg: -np.abs(reduced(x, zg)), _zero, 2.0, grid
-            )
+                lambda x, _r, zg: -np.abs(cth._quadratic(cth._coeffs(table, x), zg)),
+                _zero, 2.0, grid)
         argmax = {"p1": p1, "zeta_re": z.real, "zeta_im": z.imag}
     if mode == "min":
         val = -val
@@ -444,7 +448,8 @@ def _bisect(fn, lo: float, hi: float, iters: int = 100) -> float:
 def envelope_check(step: float = 1e-4) -> dict:
     """Certify the envelope analysis behind the inverse-Hankel bound.
 
-    Checks, on a grid of the given step:
+    Checks, on a grid of the given step, which must lie in ``(0, root]``
+    for the split root ``root ~ 0.452`` (else :class:`DomainViolation`):
 
     * the sixth case discriminant changes sign at its closed-form root;
     * the inner envelope stays below its peak value on the low range and
@@ -455,6 +460,9 @@ def envelope_check(step: float = 1e-4) -> dict:
       :func:`case_functions` call on the 999 points of a 1e-3 grid.
     """
     root = _bisect(lambda t: cth.case_functions(t).t6, 0.05, 0.95)
+    # NaN fails too; a step beyond the root leaves the inner grid empty
+    if not 0.0 < step <= root:
+        raise DomainViolation(f"step = {step} must lie in (0, {root}]")
     peak_loc = cth.ENVELOPE_INNER_PEAK
     peak_val = cth.envelope_inner(peak_loc)
 

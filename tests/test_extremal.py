@@ -56,6 +56,12 @@ def test_build_extremal_validation():
         preset("f9")
     with pytest.raises(DomainViolation):
         ExtremalSpec(complex("nan"), 1)
+    # a fractional power fails at construction; a NumPy integer is stored
+    # as a Python int
+    with pytest.raises(DomainViolation):
+        ExtremalSpec(1.0, 1.5)
+    spec = ExtremalSpec(1.0, np.int64(2))
+    assert spec == PRESETS["f1"] and type(spec.k) is int
 
 
 def test_petal_map_basics():

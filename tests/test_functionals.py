@@ -18,7 +18,7 @@ from petalstar import (
     toeplitz2_log,
     toeplitz_det,
 )
-from petalstar.errors import IndexOutOfRange, InsufficientOrder
+from petalstar.errors import DomainViolation, IndexOutOfRange, InsufficientOrder
 
 F0 = preset("f0", 8)
 F1 = preset("f1", 8)
@@ -91,6 +91,11 @@ def test_coeff_functions_require_order():
         log_coeffs(f, 3)
     with pytest.raises(InsufficientOrder):
         inv_log_coeffs(f, 3)
+    # a negative m would slice the coefficients from the end
+    for coeffs in (log_coeffs, inv_log_coeffs):
+        with pytest.raises(DomainViolation):
+            coeffs(F0, -3)
+        assert coeffs(F0, 0).tolist() == [0.0]
 
 
 # -- generic determinants --------------------------------------------------------

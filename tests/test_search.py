@@ -1,5 +1,6 @@
 """Grid certification scans: sharpness, soundness, determinism, consistency."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -55,6 +56,20 @@ def test_gridspec_validation():
         GridSpec(refine_shrink=1.0)
     with pytest.raises(DomainViolation):
         GridSpec(refine_rounds=-1)
+    # a fractional count fails at construction, not inside the scan
+    for field in ("zeta1_steps", "radial_steps", "angular_steps", "refine_rounds"):
+        with pytest.raises(DomainViolation):
+            GridSpec(**{field: 2.5})
+
+
+@pytest.mark.parametrize("field", ["zeta1_steps", "radial_steps", "angular_steps",
+                                   "refine_rounds"])
+def test_gridspec_numpy_counts(field):
+    # a NumPy integer is stored as a Python int and scans as one
+    grid = dataclasses.replace(COARSE, **{field: np.int64(getattr(COARSE, field))})
+    assert grid == COARSE and type(getattr(grid, field)) is int
+    assert (json.dumps(maximize(FunctionalId.HANKEL_LOG, grid).to_dict())
+            == json.dumps(maximize(FunctionalId.HANKEL_LOG, COARSE).to_dict()))
 
 
 @pytest.mark.parametrize("fid", list(FunctionalId))
@@ -121,18 +136,18 @@ def test_exact_zeta3_matches_oracles():
             maximize(fid, grid, zeta3_mode="interior")
 
 
-def _split_kernel(alpha_forms):
+def _split_kernel(table):
     """``alpha + beta zeta3`` from the scans' split, array-safe in all three
     parameters."""
     def kernel(z1, z2, z3):
-        alpha, beta = cth._hankel_split(alpha_forms, z1, z2, np.abs(z2))
+        alpha, beta = cth._hankel_split(table, z1, z2, np.abs(z2))
         return alpha + beta * z3
     return kernel
 
 
 _HANKEL_CASES = [
-    pytest.param(fid, _split_kernel(forms), id=forms.__name__.replace("alpha", "zeta"))
-    for fid, forms in search._HANKEL.items()
+    pytest.param(fid, _split_kernel(table), id="_" + fid.value.replace("-", "_") + "_zeta")
+    for fid, table in search._HANKEL.items()
 ]
 
 
@@ -220,14 +235,16 @@ def _hankel_invlog_zeta(z1, z2, z3):
     return hankel_invlog_from_p(p_from_zeta(CaratheodoryPoint(z1, z2, z3)))
 
 
-@pytest.mark.parametrize("kernel, alpha_coeffs", [
-    (_hankel_log_zeta, cth._hankel_log_alpha),
-    (_hankel_invlog_zeta, cth._hankel_invlog_alpha),
+@pytest.mark.parametrize("kernel, table", [
+    pytest.param(_hankel_log_zeta, cth._HANKEL_LOG_ALPHA,
+                 id="_hankel_log_zeta-_hankel_log_alpha"),
+    pytest.param(_hankel_invlog_zeta, cth._HANKEL_INVLOG_ALPHA,
+                 id="_hankel_invlog_zeta-_hankel_invlog_alpha"),
 ])
-def test_hankel_coefficient_forms(kernel, alpha_coeffs):
-    # alpha = a0 + a1 zeta2 + a2 zeta2^2 from the real coefficients and the
-    # closed-form beta split the independent p-path value as alpha + beta z3,
-    # on a small polar grid with both faces and on random points
+def test_hankel_coefficient_forms(kernel, table):
+    # alpha = a0 + a1 zeta2 + a2 zeta2^2 from the table's real coefficients
+    # and the closed-form beta split the independent p-path value as alpha +
+    # beta z3, on a small polar grid with both faces and on random points
     rng = np.random.default_rng(SEED + 46)
     grid = [(float(z1), complex(r * np.exp(1j * t)))
             for z1 in np.linspace(0.0, 1.0, 11) for r in np.linspace(0.0, 1.0, 5)
@@ -236,7 +253,7 @@ def test_hankel_coefficient_forms(kernel, alpha_coeffs):
                complex(math.sqrt(rng.uniform()) * np.exp(2j * math.pi * rng.uniform())))
               for _ in range(2000)]
     for z1, z2 in grid + random:
-        a0, a1, a2 = alpha_coeffs(z1)
+        a0, a1, a2 = cth._coeffs(table, z1)
         alpha = kernel(z1, z2, 0.0)
         assert abs(a0 + a1 * z2 + a2 * z2 * z2 - alpha) <= 1e-15
         beta = cth._hankel_beta(z1, abs(z2))
@@ -384,6 +401,112 @@ def test_majorants_dominate_modulus():
         assert abs(toeplitz_invlog_reduced(p1, z)) <= toeplitz_invlog_majorant(p1, abs(z)) + 1e-12
 
 
+
+# -- hand expansions of the coefficient tables, independent references -------
+
+
+def _hand_hankel_log_alpha(z1):
+    u = z1 * z1
+    return -2.0 * u * u / 144.0, 0.0, (-9.0 + 6.0 * u + 3.0 * u * u) / 144.0
+
+
+def _hand_hankel_invlog_alpha(z1):
+    u = z1 * z1
+    return (
+        16.0 * u * u / 144.0,
+        18.0 * u * (u - 1.0) / 144.0,
+        (-9.0 + 6.0 * u + 3.0 * u * u) / 144.0,
+    )
+
+
+def _hand_toeplitz_log_reduced(p1, zeta):
+    z2 = zeta * zeta
+    return (
+        -(p1 ** 4) * z2 - 16.0 * z2 + 16.0 * p1 ** 2 + 8.0 * p1 ** 2 * z2
+    ) / 256.0
+
+
+def _hand_toeplitz_invlog_reduced(p1, zeta):
+    z2 = zeta * zeta
+    u = p1 ** 2
+    u2 = p1 ** 4
+    return (
+        16.0 * u - 4.0 * u2 + 16.0 * u * zeta - 4.0 * u2 * zeta
+        - 16.0 * z2 + 8.0 * u * z2 - u2 * z2
+    ) / 256.0
+
+
+def _hand_toeplitz_log_majorant(p1, t):
+    u = p1 ** 2
+    return (u * u * t * t + 16.0 * t * t + 16.0 * u + 8.0 * u * t * t) / 256.0
+
+
+def _hand_toeplitz_invlog_majorant(p1, t):
+    u = p1 ** 2
+    u2 = u * u
+    return (
+        16.0 * u + 4.0 * u2 + 16.0 * u * t + 4.0 * u2 * t
+        + 16.0 * t * t + 8.0 * u * t * t + u2 * t * t
+    ) / 256.0
+
+
+def _toeplitz_first_pass_and_random_points():
+    # the default grid's first pass over (p1, zeta) as broadcast blocks, and
+    # 1e4 seeded random points of the domain as flat arrays
+    grid = GridSpec()
+    r = np.linspace(0.0, 1.0, grid.radial_steps)
+    t = np.linspace(0.0, 2.0 * math.pi, grid.angular_steps, endpoint=False)
+    p1 = np.linspace(0.0, 2.0, grid.zeta1_steps)[:, None, None]
+    z = (r[:, None] * np.exp(1j * t)[None, :])[None, :, :]
+    rng = np.random.default_rng(SEED + 47)
+    n = 10 ** 4
+    rp1 = 2.0 * rng.uniform(size=n)
+    rz = np.sqrt(rng.uniform(size=n)) * np.exp(2j * math.pi * rng.uniform(size=n))
+    return [(p1, z), (rp1, rz)]
+
+
+@pytest.mark.parametrize("table, hand", [
+    (cth._HANKEL_LOG_ALPHA, _hand_hankel_log_alpha),
+    (cth._HANKEL_INVLOG_ALPHA, _hand_hankel_invlog_alpha),
+], ids=["hankel-log", "hankel-invlog"])
+def test_hankel_tables_match_hand_expansions(table, hand):
+    rng = np.random.default_rng(SEED + 48)
+    for z1 in (np.linspace(0.0, 1.0, GridSpec().zeta1_steps), rng.uniform(size=10 ** 4)):
+        for got, want in zip(cth._coeffs(table, z1), hand(z1)):
+            assert np.abs(got - want).max() <= 1e-15
+
+
+@pytest.mark.parametrize("table, reduced, majorant, hand_reduced, hand_majorant", [
+    (cth._TOEPLITZ_LOG, toeplitz_log_reduced, toeplitz_log_majorant,
+     _hand_toeplitz_log_reduced, _hand_toeplitz_log_majorant),
+    (cth._TOEPLITZ_INVLOG, toeplitz_invlog_reduced, toeplitz_invlog_majorant,
+     _hand_toeplitz_invlog_reduced, _hand_toeplitz_invlog_majorant),
+], ids=["toeplitz-log", "toeplitz-invlog"])
+def test_toeplitz_tables_match_hand_expansions(table, reduced, majorant,
+                                               hand_reduced, hand_majorant):
+    # the public reduced forms and majorants read the tables; on the default
+    # first pass and on random points they agree with the hand expansions
+    (p1, z), (rp1, rz) = _toeplitz_first_pass_and_random_points()
+    first_pass = cth._quadratic(cth._coeffs(table, p1), z)
+    assert np.abs(first_pass - hand_reduced(p1, z)).max() <= 1e-15
+    assert np.abs(majorant(p1, np.abs(z)) - hand_majorant(p1, np.abs(z))).max() <= 1e-15
+    got = np.array([reduced(float(a), complex(b)) for a, b in zip(rp1, rz)])
+    assert np.abs(got - hand_reduced(rp1, rz)).max() <= 1e-15
+    assert np.abs(majorant(rp1, np.abs(rz)) - hand_majorant(rp1, np.abs(rz))).max() <= 1e-15
+
+
+def test_majorant_corners_exact():
+    # the sharp bounds are the majorants at the corner (p1, |zeta|) = (2, 1),
+    # exactly, and the default first pass attains them there and only there
+    grid = GridSpec()
+    p1 = np.linspace(0.0, 2.0, grid.zeta1_steps)[:, None]
+    t = np.linspace(0.0, 1.0, grid.radial_steps)[None, :]
+    for majorant, bound in ((toeplitz_log_majorant, 1 / 2), (toeplitz_invlog_majorant, 5 / 4)):
+        assert majorant(2.0, 1.0) == bound
+        values = majorant(p1, t)
+        assert values.max() == bound
+        assert np.flatnonzero(values == bound).tolist() == [values.size - 1]
+
 def test_refinement_never_regresses():
     base = GridSpec(zeta1_steps=15, radial_steps=7, angular_steps=12, refine_rounds=0)
     prev = maximize(FunctionalId.HANKEL_LOG, base).observed_max
@@ -403,6 +526,14 @@ def test_report_serialization():
         "sharp_bound", "deviation", "samples", "seed",
     }
     json.dumps(d)  # must be JSON-ready
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-3, math.nan, 0.5])
+def test_envelope_check_rejects_bad_step(step):
+    # steps that are not positive, or that leave the grid below the split
+    # root (~0.452) empty
+    with pytest.raises(DomainViolation):
+        envelope_check(step)
 
 
 def test_envelope_check_report():
