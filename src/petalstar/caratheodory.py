@@ -170,15 +170,10 @@ def _hankel_beta(z1, r):
     return 12.0 * z1 * (1.0 - z1 * z1) * ((1.0 - r * r) / 144.0)
 
 
-def _hankel_split(table, z1, z2, r):
-    """Array-safe ``(alpha, beta)`` of a Hankel functional ``alpha + beta
-    zeta3`` at ``zeta1 = z1``, ``zeta2 = z2`` with ``r = |zeta2|``."""
-    return _quadratic(_coeffs(table, z1), z2), _hankel_beta(z1, r)
-
-
 def _hankel_from_zeta(table, point: CaratheodoryPoint) -> complex:
-    alpha, beta = _hankel_split(table, point.zeta1, point.zeta2, abs(point.zeta2))
-    return complex(alpha + beta * point.zeta3)
+    z1, z2 = point.zeta1, point.zeta2
+    alpha = _quadratic(_coeffs(table, z1), z2)
+    return complex(alpha + _hankel_beta(z1, abs(z2)) * point.zeta3)
 
 
 def hankel_log_from_zeta(point: CaratheodoryPoint) -> complex:

@@ -22,7 +22,7 @@ from functools import lru_cache, wraps
 
 import numpy as np
 
-from .errors import DomainViolation
+from .errors import DomainViolation, _count
 
 __all__ = ["quad_disk_max", "quad_disk_max_grid"]
 
@@ -101,7 +101,7 @@ def quad_disk_max_grid(a: float, b: float, c: float,
     """Grid oracle: maximum of the objective over an ``radial x angular``
     polar grid of the closed disk (radii include 0 and 1).  The coefficients
     must be real."""
-    if radial < 2 or angular < 4:
+    if _count(radial, "radial") < 2 or _count(angular, "angular") < 4:
         raise DomainViolation("grid needs radial >= 2 and angular >= 4")
     z, z2, weight = _polar_grid(radial, angular)
     best = -np.inf

@@ -1,4 +1,7 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and the count check that
+raises one."""
+
+import operator
 
 
 class PetalstarError(ValueError):
@@ -35,6 +38,15 @@ class IndexOutOfRange(PetalstarError):
 
 class DomainViolation(PetalstarError):
     """Parameter outside its documented domain."""
+
+
+def _count(value, name: str) -> int:
+    """``value`` as an ``int`` (a NumPy integer passes), else
+    :class:`DomainViolation` naming the count."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainViolation(f"{name} = {value!r} is not an integer") from None
 
 
 class EndpointSingularity(PetalstarError):

@@ -26,12 +26,11 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainViolation, SingularSample
+from .errors import DomainViolation, SingularSample, _count
 from .series import (
     DEFAULT_ORDER,
     SchlichtSeries,
@@ -65,10 +64,7 @@ class ExtremalSpec:
     k: int
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "k", operator.index(self.k))
-        except TypeError:
-            raise DomainViolation(f"power k = {self.k!r} is not an integer") from None
+        object.__setattr__(self, "k", _count(self.k, "power k"))
         if self.k < 1:
             raise DomainViolation("power k must be >= 1")
         if not cmath.isfinite(self.c):
@@ -86,7 +82,7 @@ PRESETS = {
 
 def build_extremal(spec: ExtremalSpec, order: int = DEFAULT_ORDER) -> SchlichtSeries:
     """Series of ``z exp(int_0^z arcsinh(c t^k) / t dt)`` to ``order``."""
-    if order < 1:
+    if _count(order, "order") < 1:
         raise DomainViolation("order must be >= 1")
     try:
         inner = integrate_over_t(asinh_series(spec.c, spec.k, order - 1))
@@ -166,7 +162,7 @@ def class_check(f: SchlichtSeries, radii, angles: int = 64) -> ClassCheckReport:
     radii = np.asarray(radii, dtype=float)
     if radii.size == 0 or not np.all((radii > 0.0) & (radii < 1.0)):
         raise DomainViolation("radii must lie strictly inside (0, 1)")
-    if angles < 1:
+    if _count(angles, "angles") < 1:
         raise DomainViolation("need at least one angle")
 
     t = np.linspace(0.0, 2.0 * np.pi, angles, endpoint=False)

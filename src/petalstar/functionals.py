@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainViolation, IndexOutOfRange, InsufficientOrder
+from .errors import DomainViolation, IndexOutOfRange, InsufficientOrder, _count
 from .series import SchlichtSeries, Series, log_over_z, revert
 
 __all__ = [
@@ -45,7 +45,7 @@ def _require_order(f: Series, order: int, what: str):
 
 def _require_count(f: Series, m: int, what: str):
     # a negative m would slice the coefficients from the end
-    if m < 0:
+    if _count(m, "m") < 0:
         raise DomainViolation(f"{what} needs m >= 0")
     _require_order(f, m + 1, what)
 
@@ -98,7 +98,7 @@ def _det(entries, q: int, n: int, offset, span: int) -> complex:
     """Both determinants: entry ``(i, j)`` is ``entries[n + offset(i, j)]``,
     at most ``entries[n + span]``; only ``q >= 3`` builds an index matrix."""
     e = np.asarray(entries, dtype=complex)
-    if q < 1 or n < 0:
+    if _count(q, "q") < 1 or _count(n, "n") < 0:
         raise IndexOutOfRange("need q >= 1 and n >= 0")
     top = n + span
     if e.size <= top:

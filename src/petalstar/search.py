@@ -6,20 +6,25 @@ the claimed sharp bounds.  Every scan runs on the same two-dimensional core:
 a first parameter ``x`` on an interval times a point ``zeta`` of the closed
 unit disk on a polar grid, refined around the incumbent.
 
-* The two Hankel functionals take ``x = zeta1 in [0, 1]`` and
-  ``zeta = zeta2``.  They are affine in the third parameter,
-  ``alpha(zeta1, zeta2) + beta(zeta1, |zeta2|) zeta3``, so ``zeta3`` is
-  eliminated in closed form: over ``|zeta3| <= 1`` the modulus peaks at
-  ``|alpha| + |beta|`` (``zeta3`` lines ``beta zeta3`` up with ``alpha``)
-  and bottoms out at ``max(|alpha| - |beta|, 0)``.  ``maximize`` uses the
-  exact elimination by default; ``zeta3_mode="boundary"`` and ``"disk"``
-  instead take the largest modulus over a grid of the circle or of the
-  disk in ``zeta3``, and are kept as brute-force reference oracles.
+All four have one shape in the scan variables, ``alpha(x, zeta) + beta(x,
+|zeta|) zeta3``, with ``alpha = c0 + c1 zeta + c2 zeta^2`` read from the
+functional's coefficient table in :mod:`petalstar.caratheodory`.  Over
+``|zeta3| <= 1`` the modulus peaks at ``|alpha| + beta`` (``zeta3`` lines
+``beta zeta3`` up with ``alpha``) and bottoms out at ``max(|alpha| - beta,
+0)``, so ``zeta3`` is eliminated in closed form, and every minimum scan
+reads that one objective.
 
-* The two Toeplitz functionals are scanned in the reduced parameters
-  ``(p1, zeta)`` with ``p1 in [0, 2]`` and ``zeta`` in the closed disk.
-  The certified sharp bounds for these two are bounds on the term-wise
-  absolute-value majorant of the reduced form (see
+* The two Hankel functionals take ``x = zeta1 in [0, 1]``, ``zeta =
+  zeta2`` and ``beta = zeta1 (1 - zeta1^2) (1 - |zeta2|^2) / 12``.
+  ``maximize`` uses the exact elimination by default;
+  ``zeta3_mode="boundary"`` and ``"disk"`` instead take the largest modulus
+  over a grid of the circle or of the disk in ``zeta3``, and are kept as
+  brute-force reference oracles.
+
+* The two Toeplitz functionals are the ``beta = 0`` case, scanned in the
+  reduced parameters ``(p1, zeta)`` with ``p1 in [0, 2]``; they have no
+  ``zeta3``.  The certified sharp bounds for these two are bounds on the
+  term-wise absolute-value majorant of the reduced form (see
   :func:`toeplitz_log_majorant`), which dominates the functional modulus
   pointwise and attains the bound at the corner ``(p1, |zeta|) = (2, 1)``.
   It is the reduced form's coefficient table taken in absolute value.
@@ -34,12 +39,11 @@ The core only maximizes; :func:`minimize_modulus` scans the negated
 modulus.  An upper bound on each ``(x, |zeta|)`` ring prunes the rings that
 cannot beat the incumbent, and each pass evaluates the rest in one call
 (see :func:`_scan`).  The Hankel max bound is the triangle inequality on
-real coefficient forms, ``|a0| + |a1| r + |a2| r^2 + beta`` for ``alpha =
-a0 + a1 zeta2 + a2 zeta2^2`` with real ``a_k(zeta1)`` and ``beta = 12
-zeta1 (1 - zeta1^2) (1 - r^2) / 144``.  The Toeplitz majorant is its own
-bound, and a negated modulus is bounded by 0.  The ``zeta3`` oracles take
-the bound ``+inf`` and evaluate every ring.  Every scan, bound and
-majorant reads the coefficient tables of :mod:`petalstar.caratheodory`.
+the table, ``|c0| + |c1| r + |c2| r^2 + beta``.  The Toeplitz majorant is
+its own bound, and a negated modulus is bounded by 0.  The ``zeta3``
+oracles take the bound ``+inf`` and evaluate every ring.  Each functional
+has one record in ``_FORMS`` (table, ``beta``, ``x`` range and argmax
+names) and one path from its identifier to its report.
 
 Scans are deterministic and run on one thread: exact ties in the
 arg-extremum resolve to the lexicographically first grid point, and reports
@@ -50,7 +54,6 @@ not.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import asdict, dataclass
 from functools import partial, reduce
 from enum import Enum
@@ -58,7 +61,7 @@ from enum import Enum
 import numpy as np
 
 from . import caratheodory as cth
-from .errors import DomainViolation
+from .errors import DomainViolation, _count
 from .functionals import (
     hankel2_invlog,
     hankel2_log,
@@ -136,11 +139,7 @@ class GridSpec:
         # NumPy integers become Python ints, so that sample counts stay exact
         # and reports serialize
         for name in ("zeta1_steps", "radial_steps", "angular_steps", "refine_rounds"):
-            try:
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
-            except TypeError:
-                raise DomainViolation(
-                    f"{name} = {getattr(self, name)!r} is not an integer") from None
+            object.__setattr__(self, name, _count(getattr(self, name), name))
         if min(self.zeta1_steps, self.radial_steps, self.angular_steps) < 2:
             raise DomainViolation("all step counts must be >= 2")
         if self.refine_rounds < 0:
@@ -272,63 +271,9 @@ def _zeta3_grid(zeta3_mode: str, grid: GridSpec) -> np.ndarray:
     return (r3[:, None] * np.exp(1j * t3)[None, :]).ravel()
 
 
-def _hankel_objective(functional: FunctionalId, grid: GridSpec, mode: str,
-                      zeta3_mode: str):
-    """The ``(zeta1, zeta2)`` objective of a Hankel functional's modulus for
-    :func:`_scan`.
-
-    Returns ``(objective, depth, zeta3_at, bound)``; ``depth`` counts the
-    ``zeta3`` points per grid node, ``zeta3_at(zeta1, zeta2)`` is the
-    ``zeta3`` at which the objective's value is attained, and ``bound`` is
-    the ring bound for :func:`_scan` (``+inf`` for the oracles).  Every
-    objective reads the split ``alpha + beta zeta3`` of the real coefficient
-    forms ``_HANKEL[functional]``, with ``beta`` taken once per ring from the
-    scan's ``r = |zeta2|``.  The exact objective is ``|alpha| + beta`` (max)
-    or ``-max(|alpha| - beta, 0)`` (min).  Its max bound takes ``|alpha| <=
-    |a0| + |a1| r + |a2| r^2`` from the same forms and adds ``beta`` and
-    :data:`_BOUND_MARGIN`; its min bound is 0.  The oracles keep a running
-    maximum of ``|alpha + beta zeta3|`` over their ``zeta3`` points.
-    """
-    table = _HANKEL[functional]
-    split = partial(cth._hankel_split, table)
-
-    if mode == "max" and zeta3_mode != "exact":
-        z3_grid = _zeta3_grid(zeta3_mode, grid)
-
-        def oracle(z1, r, z2):
-            alpha, beta = split(z1, z2, r)
-            return reduce(np.maximum, (np.abs(alpha + beta * z3) for z3 in z3_grid))
-
-        def oracle_zeta3(z1, z2):
-            alpha, beta = split(z1, z2, abs(z2))
-            return z3_grid[int(np.argmax(np.abs(alpha + beta * z3_grid)))]
-
-        return oracle, z3_grid.size, oracle_zeta3, _unbounded
-
-    def objective(z1, r, z2):
-        alpha, beta = split(z1, z2, r)
-        if mode == "max":
-            return np.abs(alpha) + beta
-        return -np.maximum(np.abs(alpha) - beta, 0.0)
-
-    def max_bound(z1, r):
-        moduli = [np.abs(c) for c in cth._coeffs(table, z1)]
-        return cth._quadratic(moduli, r) + cth._hankel_beta(z1, r) + _BOUND_MARGIN
-
-    def zeta3_at(z1, z2):
-        alpha, beta = (complex(v) for v in split(z1, z2, abs(z2)))
-        if alpha == 0.0 or beta == 0.0:
-            return 1.0 if mode == "max" else 0.0
-        # the unit phase lining beta zeta3 (beta > 0) up with alpha; the minimum
-        # takes the opposite phase, shortened until beta zeta3 cancels alpha
-        z3 = alpha / abs(alpha)
-        return z3 if mode == "max" else -z3 * min(abs(alpha) / abs(beta), 1.0)
-
-    return objective, 1, zeta3_at, max_bound if mode == "max" else _zero
-
-
 def _zero(_x, _r):
-    """Ring bound of the min scans, whose objectives are negated moduli."""
+    """Ring bound of the min scans, whose objectives are negated moduli, and
+    the ``beta`` of the Toeplitz forms, which have no ``zeta3``."""
     return 0.0
 
 
@@ -337,17 +282,75 @@ def _unbounded(_x, _r):
     return math.inf
 
 
-#: Hankel functionals: the coefficient table of their ``alpha``.
-_HANKEL = {
-    FunctionalId.HANKEL_LOG: cth._HANKEL_LOG_ALPHA,
-    FunctionalId.HANKEL_INVLOG: cth._HANKEL_INVLOG_ALPHA,
+#: Each functional's form ``alpha + beta zeta3``: the coefficient table of
+#: ``alpha``, ``beta(x, r)``, the upper end of ``x`` and the argmax names of
+#: ``(x, zeta)``.
+_FORMS = {
+    FunctionalId.HANKEL_LOG: (cth._HANKEL_LOG_ALPHA, cth._hankel_beta, 1.0, ("zeta1", "zeta2")),
+    FunctionalId.HANKEL_INVLOG: (cth._HANKEL_INVLOG_ALPHA, cth._hankel_beta, 1.0,
+                                 ("zeta1", "zeta2")),
+    FunctionalId.TOEPLITZ_LOG: (cth._TOEPLITZ_LOG, _zero, 2.0, ("p1", "zeta")),
+    FunctionalId.TOEPLITZ_INVLOG: (cth._TOEPLITZ_INVLOG, _zero, 2.0, ("p1", "zeta")),
 }
 
-#: Toeplitz functionals: the coefficient table of their reduced form.
-_TOEPLITZ = {
-    FunctionalId.TOEPLITZ_LOG: cth._TOEPLITZ_LOG,
-    FunctionalId.TOEPLITZ_INVLOG: cth._TOEPLITZ_INVLOG,
-}
+
+def _objective(functional: FunctionalId, grid: GridSpec, mode: str, zeta3_mode: str):
+    """The ``(x, zeta)`` objective of one scan for :func:`_scan`.
+
+    Returns ``(objective, bound, depth, zeta3_at)``: ``bound`` is the ring
+    bound (``+inf`` for the oracles), ``depth`` counts the ``zeta3`` points
+    per grid node, and ``zeta3_at(x, zeta)`` is the ``zeta3`` at which the
+    objective's value is attained, ``None`` for a form without ``zeta3``.
+    Every objective reads the form ``alpha + beta zeta3`` of
+    ``_FORMS[functional]``, with ``beta`` taken once per ring from the
+    scan's ``r = |zeta|``.  The min objective is ``-max(|alpha| - beta, 0)``,
+    bounded by 0.  A Toeplitz max scans the majorant, its own bound.  The
+    Hankel max is ``|alpha| + beta``, bounded by ``|c0| + |c1| r + |c2| r^2 +
+    beta`` from the same table plus :data:`_BOUND_MARGIN`; its oracles keep
+    a running maximum of ``|alpha + beta zeta3|`` over their ``zeta3`` points.
+    """
+    table, beta, _, _ = _FORMS[functional]
+    if mode == "max" and beta is _zero:
+        majorant = partial(cth._majorant, table)
+        return lambda x, r, _z: majorant(x, r), majorant, 1, None
+
+    def split(x, z, r):
+        return cth._quadratic(cth._coeffs(table, x), z), beta(x, r)
+
+    if mode == "max" and zeta3_mode != "exact":
+        z3_grid = _zeta3_grid(zeta3_mode, grid)
+
+        def oracle(x, r, z):
+            alpha, b = split(x, z, r)
+            return reduce(np.maximum, (np.abs(alpha + b * z3) for z3 in z3_grid))
+
+        def oracle_zeta3(x, z):
+            alpha, b = split(x, z, abs(z))
+            return z3_grid[int(np.argmax(np.abs(alpha + b * z3_grid)))]
+
+        return oracle, _unbounded, z3_grid.size, oracle_zeta3
+
+    def objective(x, r, z):
+        alpha, b = split(x, z, r)
+        if mode == "max":
+            return np.abs(alpha) + b
+        return -np.maximum(np.abs(alpha) - b, 0.0)
+
+    def max_bound(x, r):
+        moduli = [np.abs(c) for c in cth._coeffs(table, x)]
+        return cth._quadratic(moduli, r) + beta(x, r) + _BOUND_MARGIN
+
+    def zeta3_at(x, z):
+        alpha, b = (complex(v) for v in split(x, z, abs(z)))
+        if alpha == 0.0 or b == 0.0:
+            return 1.0 if mode == "max" else 0.0
+        # the unit phase lining beta zeta3 (beta > 0) up with alpha; the minimum
+        # takes the opposite phase, shortened until beta zeta3 cancels alpha
+        z3 = alpha / abs(alpha)
+        return z3 if mode == "max" else -z3 * min(abs(alpha) / abs(b), 1.0)
+
+    return (objective, max_bound if mode == "max" else _zero, 1,
+            None if beta is _zero else zeta3_at)
 
 
 def _report(functional, grid: GridSpec, mode: str, seed: int,
@@ -356,43 +359,24 @@ def _report(functional, grid: GridSpec, mode: str, seed: int,
     if zeta3_mode not in ("exact", "boundary", "disk"):
         raise DomainViolation("zeta3_mode must be 'exact', 'boundary' or 'disk'")
     grid = grid or GridSpec()
-    objective = "modulus"
-    depth = 1
-    if functional in _HANKEL:
-        scan_objective, depth, zeta3_at, bound = _hankel_objective(
-            functional, grid, mode, zeta3_mode
-        )
-        val, (z1, z2), nodes = _scan(scan_objective, bound, 1.0, grid)
-        z3 = complex(zeta3_at(z1, z2))
-        argmax = {
-            "zeta1": z1,
-            "zeta2_re": z2.real,
-            "zeta2_im": z2.imag,
-            "zeta3_re": z3.real,
-            "zeta3_im": z3.imag,
-        }
-    else:
-        table = _TOEPLITZ[functional]
-        if mode == "max":
-            objective = "majorant"
-            majorant = partial(cth._majorant, table)
-            val, (p1, z), nodes = _scan(lambda x, r, _z: majorant(x, r), majorant, 2.0, grid)
-        else:
-            val, (p1, z), nodes = _scan(
-                lambda x, _r, zg: -np.abs(cth._quadratic(cth._coeffs(table, x), zg)),
-                _zero, 2.0, grid)
-        argmax = {"p1": p1, "zeta_re": z.real, "zeta_im": z.imag}
+    objective, bound, depth, zeta3_at = _objective(functional, grid, mode, zeta3_mode)
+    _, _, x_hi, (x_name, z_name) = _FORMS[functional]
+    val, (x, z), nodes = _scan(objective, bound, x_hi, grid)
+    argmax = {x_name: x, f"{z_name}_re": z.real, f"{z_name}_im": z.imag}
+    if zeta3_at is not None:
+        z3 = complex(zeta3_at(x, z))
+        argmax.update(zeta3_re=z3.real, zeta3_im=z3.imag)
     if mode == "min":
         val = -val
-    bound = SHARP_BOUNDS[functional]
+    sharp = SHARP_BOUNDS[functional]
     return BoundReport(
         functional=functional.value,
         mode=mode,
-        objective=objective,
+        objective="majorant" if mode == "max" and zeta3_at is None else "modulus",
         observed_max=val,
         argmax=argmax,
-        sharp_bound=bound,
-        deviation=bound - val,
+        sharp_bound=sharp,
+        deviation=sharp - val,
         samples=nodes * depth,
         seed=seed,
     )
@@ -408,9 +392,10 @@ def maximize(functional: FunctionalId, grid: GridSpec = None, seed: int = 0,
     selects a brute-force reference oracle instead, which evaluates every
     grid node at ``angular_steps`` points of the circle ``|zeta3| = 1`` or
     at the ``radial_steps x angular_steps`` polar grid of the disk; both
-    count those evaluations in ``samples``.  Toeplitz identifiers scan the
-    proof majorant (see the module docstring) and ignore a valid
-    ``zeta3_mode``; an unknown one raises for every identifier.  ``threads``
+    count those evaluations in ``samples``.  Toeplitz identifiers, whose
+    forms have no ``zeta3``, scan the proof majorant (see the module
+    docstring) and ignore a valid ``zeta3_mode``; an unknown one raises for
+    every identifier.  ``threads``
     has no effect: every scan runs on one thread, and the keyword remains
     only for the benchmark's call signature.
     """

@@ -20,11 +20,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    DomainViolation,
     NonzeroConstant,
     NonzeroInnerConstant,
     NotInvertibleAtOrigin,
     NotNormalized,
     ZeroConstantTerm,
+    _count,
 )
 
 #: Truncation order used when callers do not request one explicitly.  All
@@ -189,7 +191,7 @@ class SchlichtSeries(Series):
     def from_tail(cls, tail: Sequence[complex], order: int = DEFAULT_ORDER) -> "SchlichtSeries":
         """Build ``z + a2 z^2 + ...`` from the tail ``(a2, a3, ...)``."""
         tail = np.asarray(tail, dtype=complex)
-        if order < tail.size + 1:
+        if _count(order, "order") < tail.size + 1:
             order = tail.size + 1
         c = np.zeros(order + 1, dtype=complex)
         c[1] = 1.0
@@ -285,10 +287,10 @@ def asinh_series(c: complex, k: int, order: int) -> Series:
     Uses the alternating expansion with coefficients
     ``(2n)! / (4^n (n!)^2 (2n+1))`` on odd powers of ``c z^k``.
     """
-    if k < 1:
-        raise ValueError("power k must be a positive integer")
-    if order < 0:
-        raise ValueError("order must be non-negative")
+    if _count(k, "power k") < 1:
+        raise DomainViolation("power k must be a positive integer")
+    if _count(order, "order") < 0:
+        raise DomainViolation("order must be non-negative")
     out = np.zeros(order + 1, dtype=complex)
     coeff = 1.0
     n = 0

@@ -1,0 +1,65 @@
+"""Count arguments: a non-integer count fails as a domain error naming it."""
+
+import numpy as np
+import pytest
+
+from petalstar import (
+    PRESETS,
+    SchlichtSeries,
+    asinh_series,
+    build_extremal,
+    class_check,
+    hankel_det,
+    inv_log_coeffs,
+    log_coeffs,
+    preset,
+    quad_disk_max_grid,
+    toeplitz_det,
+)
+from petalstar.errors import DomainViolation
+
+F0 = preset("f0", 10)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: log_coeffs(F0, 2.5), "m"),
+    (lambda: inv_log_coeffs(F0, 2.5), "m"),
+    (lambda: hankel_det([1, 2, 3, 4, 5], 2.5, 0), "q"),
+    (lambda: toeplitz_det([1, 2, 3, 4, 5], 2, 0.5), "n"),
+    (lambda: class_check(F0, [0.5], angles=2.5), "angles"),
+    (lambda: quad_disk_max_grid(1.0, 0.0, -1.0, 2.5, 600), "radial"),
+    (lambda: quad_disk_max_grid(1.0, 0.0, -1.0, 600, 2.5), "angular"),
+    (lambda: preset("f0", 2.5), "order"),
+    (lambda: build_extremal(PRESETS["f1"], 2.5), "order"),
+    (lambda: SchlichtSeries.from_tail([0.5], order=2.5), "order"),
+    (lambda: asinh_series(1.0, 1.5, 5), "power k"),
+    (lambda: asinh_series(1.0, 1, 5.0), "order"),
+], ids=["log_coeffs", "inv_log_coeffs", "hankel_det", "toeplitz_det", "class_check",
+        "grid_radial", "grid_angular", "preset", "build_extremal", "from_tail",
+        "asinh_k", "asinh_order"])
+def test_fractional_count_is_domain_violation(call, name):
+    with pytest.raises(DomainViolation, match=f"^{name} = "):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: asinh_series(1.0, 0, 5),
+    lambda: asinh_series(1.0, 1, -1),
+], ids=["asinh_k0", "asinh_order_negative"])
+def test_out_of_range_count_is_domain_violation(call):
+    with pytest.raises(DomainViolation):
+        call()
+
+
+def test_numpy_integer_counts_pass():
+    three = np.int64(3)
+    assert np.array_equal(log_coeffs(F0, three), log_coeffs(F0, 3))
+    assert np.array_equal(inv_log_coeffs(F0, three), inv_log_coeffs(F0, 3))
+    seq = [1, 2, 3, 4, 5]
+    assert hankel_det(seq, np.int64(2), np.int64(0)) == hankel_det(seq, 2, 0)
+    assert np.array_equal(preset("f0", three).coeffs, preset("f0", 3).coeffs)
+    assert np.array_equal(asinh_series(1.0, np.int64(1), three).coeffs,
+                          asinh_series(1.0, 1, 3).coeffs)
+    assert class_check(F0, [0.5], angles=np.int64(8)) == class_check(F0, [0.5], angles=8)
+    assert (quad_disk_max_grid(1.0, 0.0, -1.0, np.int64(20), np.int64(20))
+            == quad_disk_max_grid(1.0, 0.0, -1.0, 20, 20))

@@ -27,19 +27,22 @@ from petalstar import (
     minimize_modulus,
     p_from_zeta,
     preset,
+    reduced_p2,
     rotate,
     rotation_check,
     toeplitz2_invlog,
     toeplitz2_log,
+    toeplitz_invlog_from_p,
     toeplitz_invlog_majorant,
     toeplitz_invlog_reduced,
+    toeplitz_log_from_p,
     toeplitz_log_majorant,
     toeplitz_log_reduced,
 )
 from petalstar import caratheodory as cth
 from petalstar import search
 from petalstar.errors import DomainViolation
-from petalstar.search import _hankel_objective
+from petalstar.search import _objective
 
 COARSE = GridSpec(zeta1_steps=21, radial_steps=9, angular_steps=16, refine_rounds=1)
 
@@ -134,20 +137,35 @@ def test_exact_zeta3_matches_oracles():
     for fid in (FunctionalId.HANKEL_LOG, FunctionalId.TOEPLITZ_LOG):
         with pytest.raises(DomainViolation):
             maximize(fid, grid, zeta3_mode="interior")
+    # a Toeplitz max scans its majorant whatever the valid zeta3_mode
+    for fid in (FunctionalId.TOEPLITZ_LOG, FunctionalId.TOEPLITZ_INVLOG):
+        reports = {json.dumps(maximize(fid, COARSE, zeta3_mode=m).to_dict())
+                   for m in ("exact", "boundary", "disk")}
+        assert len(reports) == 1
 
 
 def _split_kernel(table):
-    """``alpha + beta zeta3`` from the scans' split, array-safe in all three
-    parameters."""
+    """``alpha + beta zeta3`` from the scans' table and beta, array-safe in
+    all three parameters."""
     def kernel(z1, z2, z3):
-        alpha, beta = cth._hankel_split(table, z1, z2, np.abs(z2))
-        return alpha + beta * z3
+        return cth._quadratic(cth._coeffs(table, z1), z2) + cth._hankel_beta(z1, np.abs(z2)) * z3
     return kernel
 
 
 _HANKEL_CASES = [
-    pytest.param(fid, _split_kernel(table), id="_" + fid.value.replace("-", "_") + "_zeta")
-    for fid, table in search._HANKEL.items()
+    pytest.param(fid, _split_kernel(search._FORMS[fid][0]),
+                 id="_" + fid.value.replace("-", "_") + "_zeta")
+    for fid in (FunctionalId.HANKEL_LOG, FunctionalId.HANKEL_INVLOG)
+]
+
+# the Toeplitz forms by the independent p-path, which has no zeta3
+_TOEPLITZ_CASES = [
+    pytest.param(FunctionalId.TOEPLITZ_LOG,
+                 lambda p1, z, _z3: toeplitz_log_from_p(p1, reduced_p2(p1, z)),
+                 id="toeplitz_log_from_p"),
+    pytest.param(FunctionalId.TOEPLITZ_INVLOG,
+                 lambda p1, z, _z3: toeplitz_invlog_from_p(p1, reduced_p2(p1, z)),
+                 id="toeplitz_invlog_from_p"),
 ]
 
 
@@ -155,7 +173,7 @@ _HANKEL_CASES = [
 def test_exact_zeta3_elimination_pointwise(fid, kernel):
     # |alpha| + |beta| bounds a fine boundary zeta3 scan from above and is
     # attained at the reported unit-modulus zeta3
-    objective, depth, zeta3_at, _ = _hankel_objective(fid, GridSpec(), "max", "exact")
+    objective, _, depth, zeta3_at = _objective(fid, GridSpec(), "max", "exact")
     assert depth == 1
     circle = np.exp(2j * math.pi * np.arange(4096) / 4096)
     rng = np.random.default_rng(SEED + 42)
@@ -179,22 +197,26 @@ def _random_rings(seed, m=200):
     return z1, r, r * np.exp(2j * math.pi * rng.uniform(size=(m, 8)))
 
 
-@pytest.mark.parametrize("fid, kernel", _HANKEL_CASES)
+@pytest.mark.parametrize("fid, kernel", _HANKEL_CASES + _TOEPLITZ_CASES)
 def test_exact_zeta3_min_pointwise(fid, kernel):
     # max(|alpha| - |beta|, 0) lies below a fine disk zeta3 scan and is
-    # attained at the reported zeta3
-    objective, _, zeta3_at, _ = _hankel_objective(fid, GridSpec(), "min", "exact")
+    # attained at the reported zeta3; the Toeplitz forms are the beta = 0
+    # case, whose minimum is |alpha| at every zeta3, and report none
+    objective, _, _, zeta3_at = _objective(fid, GridSpec(), "min", "exact")
+    assert (zeta3_at is None) == (fid in (FunctionalId.TOEPLITZ_LOG,
+                                          FunctionalId.TOEPLITZ_INVLOG))
     disk = (np.linspace(0.0, 1.0, 257)[:, None]
             * np.exp(2j * math.pi * np.arange(256) / 256)).ravel()
     z1, r, z2 = _random_rings(SEED + 44, 40)
-    least = -objective(z1, r, z2)
+    x = search._FORMS[fid][2] * z1
+    least = -objective(x, r, z2)
     for i, j in np.ndindex(z2.shape):
-        sampled = float(np.abs(kernel(z1[i, 0], z2[i, j], disk)).min())
+        sampled = float(np.abs(kernel(x[i, 0], z2[i, j], disk)).min())
         assert least[i, j] <= sampled + 1e-15
         assert sampled - least[i, j] <= 1e-3
-        z3 = complex(zeta3_at(z1[i, 0], z2[i, j]))
+        z3 = 0.0 if zeta3_at is None else complex(zeta3_at(x[i, 0], z2[i, j]))
         assert abs(z3) <= 1.0 + 1e-15
-        assert abs(abs(kernel(z1[i, 0], z2[i, j], z3)) - least[i, j]) <= 1e-15
+        assert abs(abs(kernel(x[i, 0], z2[i, j], z3)) - least[i, j]) <= 1e-15
 
 
 @pytest.mark.parametrize("fid, kernel", _HANKEL_CASES)
@@ -203,7 +225,7 @@ def test_zeta3_oracles_pointwise(fid, kernel):
     grid = GridSpec(radial_steps=5, angular_steps=32)
     z1, r, z2 = _random_rings(SEED + 45)
     for zeta3_mode in ("boundary", "disk"):
-        oracle, depth, _, _ = _hankel_objective(fid, grid, "max", zeta3_mode)
+        oracle, _, depth, _ = _objective(fid, grid, "max", zeta3_mode)
         z3_grid = search._zeta3_grid(zeta3_mode, grid)
         assert depth == z3_grid.size
         want = np.abs(kernel(z1[..., None], z2[..., None], z3_grid)).max(axis=-1)
@@ -266,7 +288,7 @@ def test_ring_bound_sound(monkeypatch, fid, kernel):
     # at every point of its ring, and the margin exceeds the largest shortfall
     # of the bare bound at least 100-fold
     margin = search._BOUND_MARGIN
-    bound = _hankel_objective(fid, GridSpec(), "max", "exact")[3]
+    bound = _objective(fid, GridSpec(), "max", "exact")[1]
     shortfall = 0.0
     for z1, r, z2 in _first_pass_and_random_points():
         alpha = kernel(z1, z2, 0.0)
