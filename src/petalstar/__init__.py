@@ -1,78 +1,16 @@
 """petalstar: coefficient functionals and certified sharp bounds for
-starlike functions of the arcsinh petal domain."""
+starlike functions of the arcsinh petal domain.
 
-from .series import (
-    DEFAULT_ORDER,
-    SchlichtSeries,
-    Series,
-    asinh_series,
-    compose,
-    differentiate,
-    exp_series,
-    integrate_over_t,
-    log_over_z,
-    revert,
-    rotate,
-)
-from .functionals import (
-    hankel2_invlog,
-    hankel2_log,
-    hankel_det,
-    inv_log_coeffs,
-    inv_log_coeffs_closed,
-    log_coeffs,
-    log_coeffs_closed,
-    toeplitz2_invlog,
-    toeplitz2_log,
-    toeplitz_det,
-)
-from .caratheodory import (
-    ABCTriple,
-    CASE_SPLIT_POINT,
-    CaratheodoryPoint,
-    CaseTable,
-    ENVELOPE_INNER_PEAK,
-    a_from_p,
-    abc_hankel_invlog,
-    abc_hankel_log,
-    case_functions,
-    disk_objective,
-    envelope_inner,
-    envelope_outer,
-    hankel_invlog_from_p,
-    hankel_invlog_from_zeta,
-    hankel_log_from_p,
-    hankel_log_from_zeta,
-    p_from_zeta,
-    reduced_p2,
-    toeplitz_invlog_from_p,
-    toeplitz_invlog_reduced,
-    toeplitz_log_from_p,
-    toeplitz_log_reduced,
-)
-from .diskmax import quad_disk_max, quad_disk_max_grid
-from .extremal import (
-    PRESETS,
-    ClassCheckReport,
-    ExtremalSpec,
-    build_extremal,
-    class_check,
-    in_petal,
-    petal_map,
-    preset,
-)
-from .search import (
-    EXTREMAL_WITNESS,
-    SHARP_BOUNDS,
-    BoundReport,
-    FunctionalId,
-    GridSpec,
-    envelope_check,
-    maximize,
-    minimize_modulus,
-    rotation_check,
-    toeplitz_invlog_majorant,
-    toeplitz_log_majorant,
-)
+The public names are each module's ``__all__``: the series half
+(``series``, ``functionals``, ``extremal``) and the parameter half
+(``caratheodory``, ``diskmax``, ``search``), which share only ``errors``.
+"""
+
+from .series import *
+from .functionals import *
+from .caratheodory import *
+from .diskmax import *
+from .extremal import *
+from .search import *
 
 __version__ = "0.1.0"

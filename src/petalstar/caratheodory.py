@@ -17,7 +17,8 @@ function coefficients via ``a2 = p1/2``, ``a3 = p2/4`` and ``a4 = (-p1^3 -
 into an explicit polynomial in the parameters.  This module holds those
 polynomials (in the ``p`` variables; the Hankel ones also in the ``zeta``
 variables, as ``alpha + beta zeta3``), the reduction of the Toeplitz
-functionals to the two parameters ``(p1, zeta)``, and the case analysis
+functionals to the two parameters ``(p1, zeta)`` with the term-wise
+majorants that the Toeplitz max scans certify, and the case analysis
 machinery used to certify the sharp Hankel bound of the inverse
 coefficients: the quadratic triples ``(A, B, C)``, the six case
 discriminants, and the two envelope curves.
@@ -43,6 +44,33 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainViolation, EndpointSingularity
+
+__all__ = [
+    "CaratheodoryPoint",
+    "ABCTriple",
+    "CaseTable",
+    "p_from_zeta",
+    "a_from_p",
+    "hankel_log_from_p",
+    "hankel_invlog_from_p",
+    "hankel_log_from_zeta",
+    "hankel_invlog_from_zeta",
+    "toeplitz_log_from_p",
+    "toeplitz_invlog_from_p",
+    "reduced_p2",
+    "toeplitz_log_reduced",
+    "toeplitz_invlog_reduced",
+    "toeplitz_log_majorant",
+    "toeplitz_invlog_majorant",
+    "disk_objective",
+    "abc_hankel_log",
+    "abc_hankel_invlog",
+    "case_functions",
+    "CASE_SPLIT_POINT",
+    "ENVELOPE_INNER_PEAK",
+    "envelope_inner",
+    "envelope_outer",
+]
 
 #: Slack admitted when validating |zeta| <= 1 style constraints, to absorb
 #: floating-point roundoff from polar grids.
@@ -227,6 +255,22 @@ def toeplitz_invlog_reduced(p1: float, zeta: complex) -> complex:
     """Two-parameter form of the inverse-log-Toeplitz functional."""
     _check_reduced_domain(p1, zeta)
     return complex(_quadratic(_coeffs(_TOEPLITZ_INVLOG, p1), zeta))
+
+
+def toeplitz_log_majorant(p1, t):
+    """Term-wise absolute-value majorant of the reduced log-Toeplitz form:
+    ``(p1^4 t^2 + 16 t^2 + 16 p1^2 + 8 p1^2 t^2) / 256`` with ``t = |zeta|``.
+
+    Dominates ``|toeplitz_log_reduced(p1, zeta)|`` for every phase of
+    ``zeta`` and peaks at the corner ``(2, 1)`` with value 1/2.
+    """
+    return _majorant(_TOEPLITZ_LOG, p1, t)
+
+
+def toeplitz_invlog_majorant(p1, t):
+    """Term-wise absolute-value majorant of the reduced inverse-log-Toeplitz
+    form; peaks at the corner ``(2, 1)`` with value 5/4."""
+    return _majorant(_TOEPLITZ_INVLOG, p1, t)
 
 
 # -- case analysis for the inverse-Hankel sharp bound --------------------------

@@ -11,7 +11,8 @@ Subcommands::
     envelope    envelope / case-analysis certification report
 
 Exit codes: 0 on success, 1 on verification failure, 2 on argument errors
-(messages on standard error).
+(messages on standard error).  A reader that closes the output pipe early
+gets exit code 1 and nothing on standard error.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import sys
 
 from .diskmax import quad_disk_max, quad_disk_max_grid
@@ -190,7 +192,15 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        status = _HANDLERS[args.command](args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader is gone; a stdout on devnull makes the exit flush succeed
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except PetalstarError as exc:
         print(f"petalstar: {exc}", file=sys.stderr)
         return 2

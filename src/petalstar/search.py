@@ -25,8 +25,9 @@ reads that one objective.
   reduced parameters ``(p1, zeta)`` with ``p1 in [0, 2]``; they have no
   ``zeta3``.  The certified sharp bounds for these two are bounds on the
   term-wise absolute-value majorant of the reduced form (see
-  :func:`toeplitz_log_majorant`), which dominates the functional modulus
-  pointwise and attains the bound at the corner ``(p1, |zeta|) = (2, 1)``.
+  :func:`~petalstar.caratheodory.toeplitz_log_majorant`), which dominates
+  the functional modulus pointwise and attains the bound at the corner
+  ``(p1, |zeta|) = (2, 1)``.
   It is the reduced form's coefficient table taken in absolute value.
   ``maximize`` therefore scans the majorant for them, and records which
   objective was scanned in the report.  The pointwise modulus itself stays
@@ -49,6 +50,12 @@ Scans are deterministic and run on one thread: exact ties in the
 arg-extremum resolve to the lexicographically first grid point, and reports
 carry the seed and sample count, which counts every grid node, pruned or
 not.
+
+This module works in the parameters alone: it reads
+:mod:`petalstar.caratheodory` and no series code.  :func:`envelope_check`
+belongs here because it certifies against :data:`SHARP_BOUNDS`; the
+rotation laws, a check on series, are
+:func:`petalstar.functionals.rotation_check`.
 """
 
 from __future__ import annotations
@@ -62,15 +69,6 @@ import numpy as np
 
 from . import caratheodory as cth
 from .errors import DomainViolation, _count
-from .functionals import (
-    hankel2_invlog,
-    hankel2_log,
-    inv_log_coeffs,
-    log_coeffs,
-    toeplitz2_invlog,
-    toeplitz2_log,
-)
-from .series import SchlichtSeries, rotate
 
 __all__ = [
     "FunctionalId",
@@ -81,9 +79,6 @@ __all__ = [
     "maximize",
     "minimize_modulus",
     "envelope_check",
-    "rotation_check",
-    "toeplitz_log_majorant",
-    "toeplitz_invlog_majorant",
 ]
 
 #: Rounding margin added to the Hankel max ring bound.  It must exceed the
@@ -175,22 +170,6 @@ class BoundReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def toeplitz_log_majorant(p1, t):
-    """Term-wise absolute-value majorant of the reduced log-Toeplitz form:
-    ``(p1^4 t^2 + 16 t^2 + 16 p1^2 + 8 p1^2 t^2) / 256`` with ``t = |zeta|``.
-
-    Dominates ``|toeplitz_log_reduced(p1, zeta)|`` for every phase of
-    ``zeta`` and peaks at the corner ``(2, 1)`` with value 1/2.
-    """
-    return cth._majorant(cth._TOEPLITZ_LOG, p1, t)
-
-
-def toeplitz_invlog_majorant(p1, t):
-    """Term-wise absolute-value majorant of the reduced inverse-log-Toeplitz
-    form; peaks at the corner ``(2, 1)`` with value 5/4."""
-    return cth._majorant(cth._TOEPLITZ_INVLOG, p1, t)
 
 
 # -- grid scan core ------------------------------------------------------------
@@ -492,44 +471,4 @@ def envelope_check(step: float = 1e-4) -> dict:
     # every check above is a bool field
     report["ok"] = report["split_agreement"] <= 1e-10 and all(
         v for v in report.values() if isinstance(v, bool))
-    return report
-
-
-def rotation_check(f: SchlichtSeries, thetas) -> dict:
-    """Verify the exact rotation laws of the four functionals on ``f``.
-
-    Under ``f -> e^{-i theta} f(e^{i theta} z)`` the log coefficients scale
-    as ``g_n -> e^{i n theta} g_n`` (same for the inverse ones), so both
-    Hankel determinants rotate uniformly by ``e^{4 i theta}`` and their
-    moduli are invariant.  The Toeplitz determinants are bi-homogeneous,
-    ``e^{2 i theta} g1^2 - e^{4 i theta} g2^2``, so their moduli are only
-    invariant when one of the two coefficients vanishes (as it does for
-    every preset extremal); the report records the exact-law residuals and
-    the observed modulus spread, reduced from one ``(len(thetas), 4)`` array
-    of the functionals (0 for no angle).
-    """
-    thetas = np.asarray(thetas, dtype=float)
-    fns = (hankel2_log, hankel2_invlog, toeplitz2_log, toeplitz2_invlog)
-    vals = np.array([[fn(rotate(f, theta)) for fn in fns] for theta in thetas.tolist()],
-                    dtype=complex).reshape(-1, 4)
-    w2, w4 = np.exp(2j * thetas)[:, None], np.exp(4j * thetas)[:, None]
-    g = np.array([log_coeffs(f, 2), inv_log_coeffs(f, 2)])
-    base = np.array([hankel2_log(f), hankel2_invlog(f)])
-    laws = np.hstack([w4 * base, w2 * g[:, 1] ** 2 - w4 * g[:, 2] ** 2])
-    res = np.abs(vals - laws).max(axis=0, initial=0.0)
-    mags = np.abs(vals)
-    mag = np.abs(mags[:, :2] - np.abs(base)).max(axis=0, initial=0.0)
-    spread = np.ptp(mags[:, 2:], axis=0) if thetas.size else np.zeros(2)
-
-    report = {
-        "hankel_log_law_residual": float(res[0]),
-        "hankel_invlog_law_residual": float(res[1]),
-        "hankel_log_magnitude_residual": float(mag[0]),
-        "hankel_invlog_magnitude_residual": float(mag[1]),
-        "toeplitz_log_law_residual": float(res[2]),
-        "toeplitz_invlog_law_residual": float(res[3]),
-        "toeplitz_log_magnitude_spread": float(spread[0]),
-        "toeplitz_invlog_magnitude_spread": float(spread[1]),
-    }
-    report["ok"] = bool(max(res.max(), mag.max()) <= 1e-10)
     return report

@@ -29,6 +29,20 @@ from .errors import (
     _count,
 )
 
+__all__ = [
+    "DEFAULT_ORDER",
+    "Series",
+    "SchlichtSeries",
+    "differentiate",
+    "compose",
+    "revert",
+    "log_over_z",
+    "exp_series",
+    "integrate_over_t",
+    "asinh_series",
+    "rotate",
+]
+
 #: Truncation order used when callers do not request one explicitly.  All
 #: closed-form functionals in this package need coefficients through degree
 #: 4 only; the default leaves room for the degree-7 extremal expansions.
@@ -55,7 +69,7 @@ class Series:
     def __init__(self, coeffs: Sequence[complex]):
         arr = np.asarray(coeffs, dtype=complex)
         if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("coeffs must be a non-empty 1-d sequence")
+            raise DomainViolation("coeffs must be a non-empty 1-d sequence")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
@@ -167,7 +181,7 @@ class Series:
         re = np.asarray(data["re"], dtype=float)
         im = np.asarray(data["im"], dtype=float)
         if re.shape != im.shape or re.size != int(data["order"]) + 1:
-            raise ValueError("inconsistent serialized series")
+            raise DomainViolation("inconsistent serialized series")
         return cls(re + 1j * im)
 
 

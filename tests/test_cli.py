@@ -4,7 +4,10 @@ import csv
 import io
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -225,6 +228,29 @@ def test_verify_unsound_scan_reports(capsys, monkeypatch):
     (rep,) = json.loads(out)
     assert rep["sharp_bound"] == 0.01
     assert rep["observed_max"] > rep["sharp_bound"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["envelope"],
+    ["verify", "--zeta1-steps", "21", "--radial-steps", "5", "--angular-steps", "8",
+     "--refine-rounds", "0", "--format", "csv"],
+], ids=["envelope", "verify_csv"])
+def test_closed_pipe_exits_1_quietly(argv):
+    # the reader of standard output is gone before the command writes
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+    )
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "petalstar", *argv], env=env,
+                              stdout=write_end, stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert done.stderr == b""
 
 
 def test_classcheck(capsys):

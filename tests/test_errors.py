@@ -1,4 +1,5 @@
-"""Count arguments: a non-integer count fails as a domain error naming it."""
+"""Input checks: a non-integer count fails as a domain error naming it, and
+malformed series data fails as a domain error."""
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from petalstar import (
     PRESETS,
     SchlichtSeries,
+    Series,
     asinh_series,
     build_extremal,
     class_check,
@@ -47,6 +49,15 @@ def test_fractional_count_is_domain_violation(call, name):
     lambda: asinh_series(1.0, 1, -1),
 ], ids=["asinh_k0", "asinh_order_negative"])
 def test_out_of_range_count_is_domain_violation(call):
+    with pytest.raises(DomainViolation):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Series([]),
+    lambda: Series.from_dict({"order": 2, "re": [0.0, 1.0], "im": [0.0, 0.0]}),
+], ids=["empty_series", "inconsistent_from_dict"])
+def test_malformed_series_is_domain_violation(call):
     with pytest.raises(DomainViolation):
         call()
 
