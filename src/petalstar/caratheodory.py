@@ -325,14 +325,14 @@ def abc_hankel_invlog(zeta1: float) -> ABCTriple:
 
 def case_functions(zeta1) -> CaseTable:
     """The six discriminants deciding which maximizer branch applies to the
-    inverse-Hankel triple at ``zeta1``, a float or an array; an array gives
-    arrays bit-equal to the per-point values.
+    inverse-Hankel triple at ``zeta1``, a float or an array (a sequence is
+    taken as one); an array gives arrays bit-equal to the per-point values.
 
     On (0, 1): t1 > 0, t2 <= 0, t3 > 0, t4 < 0, t5 < 0 throughout, and t6
     changes sign at :data:`CASE_SPLIT_POINT`.
     """
-    _check_open_interval(zeta1)
-    t = zeta1
+    t = zeta1 if np.isscalar(zeta1) else np.asarray(zeta1, dtype=float)
+    _check_open_interval(t)
     t2_ = t * t
     t4_ = t2_ * t2_
     return CaseTable(

@@ -39,9 +39,11 @@ reads that one objective.
 The core only maximizes; :func:`minimize_modulus` scans the negated
 modulus.  An upper bound on each ``(x, |zeta|)`` ring prunes the rings that
 cannot beat the incumbent, and each pass evaluates the rest in one call
-(see :func:`_scan`).  The Hankel max bound is the triangle inequality on
+(see :func:`_scan`).  Only the first pass, which has no incumbent, first
+evaluates a seed ring.  The Hankel max bound is the triangle inequality on
 the table, ``|c0| + |c1| r + |c2| r^2 + beta``.  The Toeplitz majorant is
-its own bound, and a negated modulus is bounded by 0.  The ``zeta3``
+its own bound, so its scans read every pass's maximum off the bound and
+call no objective, and a negated modulus is bounded by 0.  The ``zeta3``
 oracles take the bound ``+inf`` and evaluate every ring.  Each functional
 has one record in ``_FORMS`` (table, ``beta``, ``x`` range and argmax
 names) and one path from its identifier to its report.
@@ -62,7 +64,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import partial, reduce
+from functools import reduce
 from enum import Enum
 
 import numpy as np
@@ -186,12 +188,17 @@ def _scan(objective, bound, x_hi: float, grid: GridSpec):
 
     ``bound(x, r)`` takes ``x`` of shape ``(n, 1)`` and ``r`` of shape
     ``(1, R)`` and bounds the objective from above on every ring, rounding
-    included.  A pass evaluates the ring with the largest bound for a seed
-    value, then, in one call, the rings whose bound exceeds the seed or ties
-    it at or before the seed ring; when an earlier pass's incumbent is at
-    least the seed, the rings whose bound exceeds the incumbent.  No skipped
-    ring holds the first C-order maximum, so the result is the unpruned
-    scan's; a bound of ``+inf`` prunes nothing.  Each refine pass scans the
+    included.  The first pass evaluates the ring with the largest bound for
+    a seed value, then, in one call, the rings whose bound exceeds the seed
+    or ties it at or before the seed ring, reusing the seed ring's values
+    when it is the only one.  A refine pass has no seed: only a strictly
+    larger value replaces the incumbent, so it evaluates, in one call and
+    only if there are any, the rings whose bound exceeds the incumbent.  An
+    ``objective`` that ``is`` its ``bound`` (a function of ``x`` and ``r``
+    alone) is not called: the pass maximum is the first ring of largest
+    bound, at the pass's first angle.  No skipped ring holds the first
+    C-order maximum, so the result is the unpruned scan's; a bound of
+    ``+inf`` prunes nothing.  Each refine pass scans the
     window ``lo`` to ``hi`` over ``(x, |zeta|, arg zeta)``, shrunk around the
     incumbent and clipped to the domain but for the angle.  Returns
     ``(value, (x, zeta), nodes)``, ``nodes`` counting every grid node.
@@ -207,30 +214,38 @@ def _scan(objective, bound, x_hi: float, grid: GridSpec):
         r = np.linspace(lo[1], hi[1], rs)
         # the first pass's window is the whole circle, whose end 2 pi is 0
         t = np.linspace(lo[2], hi[2], ts, endpoint=rnd > 0)
-        zg = r[:, None] * np.exp(1j * t)[None, :]
+        phase = np.exp(1j * t)
 
         def rings(ids):
             i, j = np.divmod(ids, rs)
-            return np.broadcast_to(objective(x[i, None], r[j, None], zg[j]),
+            ring_r = r[j, None]
+            return np.broadcast_to(objective(x[i, None], ring_r, ring_r * phase),
                                    (ids.size, ts))
 
         ring_bound = np.broadcast_to(bound(x[:, None], r[None, :]), (n, rs)).ravel()
         s = int(np.argmax(ring_bound))
-        seed = float(rings(np.array([s])).max())
-        if best_val is None or seed > best_val:
+        if objective is bound:
+            # constant on each ring: the first maximum is on ring s, first angle
+            ids, vals = np.array([s]), ring_bound[s, None, None]
+        elif best_val is None:
+            vals = rings(np.array([s]))
+            seed = float(vals.max())
             keep = ring_bound > seed
             keep[:s + 1] |= ring_bound[:s + 1] == seed
+            ids = np.flatnonzero(keep)
+            if not np.array_equal(ids, [s]):
+                vals = rings(ids)
         else:
-            keep = ring_bound > best_val
-        ids = np.flatnonzero(keep)
+            # only a strictly larger value replaces the incumbent
+            ids = np.flatnonzero(ring_bound > best_val)
+            vals = rings(ids) if ids.size else None
 
-        if ids.size:
-            vals = rings(ids)
+        if vals is not None:
             m, k = np.unravel_index(int(np.argmax(vals)), vals.shape)
             if best_val is None or vals[m, k] > best_val:
                 best_val = float(vals[m, k])
                 i, j = divmod(int(ids[m]), rs)
-                best_params = (float(x[i]), complex(r[j] * np.exp(1j * t[k])))
+                best_params = (float(x[i]), complex(r[j] * phase[k]))
 
         x_c, z_c = best_params
         center = np.array([x_c, abs(z_c), float(np.angle(z_c)) % two_pi])
@@ -283,15 +298,17 @@ def _objective(functional: FunctionalId, grid: GridSpec, mode: str, zeta3_mode: 
     Every objective reads the form ``alpha + beta zeta3`` of
     ``_FORMS[functional]``, with ``beta`` taken once per ring from the
     scan's ``r = |zeta|``.  The min objective is ``-max(|alpha| - beta, 0)``,
-    bounded by 0.  A Toeplitz max scans the majorant, its own bound.  The
+    bounded by 0.  A Toeplitz max scans the majorant, returned as both
+    objective and bound, which :func:`_scan` then reads off the bound.  The
     Hankel max is ``|alpha| + beta``, bounded by ``|c0| + |c1| r + |c2| r^2 +
     beta`` from the same table plus :data:`_BOUND_MARGIN`; its oracles keep
     a running maximum of ``|alpha + beta zeta3|`` over their ``zeta3`` points.
     """
     table, beta, _, _ = _FORMS[functional]
     if mode == "max" and beta is _zero:
-        majorant = partial(cth._majorant, table)
-        return lambda x, r, _z: majorant(x, r), majorant, 1, None
+        def majorant(x, r, _z=None):
+            return cth._majorant(table, x, r)
+        return majorant, majorant, 1, None
 
     def split(x, z, r):
         return cth._quadratic(cth._coeffs(table, x), z), beta(x, r)
@@ -334,7 +351,11 @@ def _objective(functional: FunctionalId, grid: GridSpec, mode: str, zeta3_mode: 
 
 def _report(functional, grid: GridSpec, mode: str, seed: int,
             zeta3_mode: str = "exact") -> BoundReport:
-    functional = FunctionalId(functional)
+    try:
+        functional = FunctionalId(functional)
+    except ValueError:
+        raise DomainViolation(f"unknown functional {functional!r}") from None
+    seed = _count(seed, "seed")
     if zeta3_mode not in ("exact", "boundary", "disk"):
         raise DomainViolation("zeta3_mode must be 'exact', 'boundary' or 'disk'")
     grid = grid or GridSpec()

@@ -178,9 +178,12 @@ class Series:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Series":
+        missing = sorted({"order", "re", "im"} - set(data))
+        if missing:
+            raise DomainViolation(f"serialized series lacks {missing}")
         re = np.asarray(data["re"], dtype=float)
         im = np.asarray(data["im"], dtype=float)
-        if re.shape != im.shape or re.size != int(data["order"]) + 1:
+        if re.shape != im.shape or re.size != _count(data["order"], "order") + 1:
             raise DomainViolation("inconsistent serialized series")
         return cls(re + 1j * im)
 

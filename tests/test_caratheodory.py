@@ -277,6 +277,15 @@ def test_case_functions_array_matches_points():
         assert tuple(col[i] for col in table) == tuple(case_functions(float(t)))
 
 
+def test_case_functions_list_is_array():
+    # a list of points gives the array's table, and its bad points raise alike
+    grid = np.arange(1e-3, 1.0, 1e-3)
+    for got, want in zip(case_functions(grid.tolist()), case_functions(grid)):
+        assert np.array_equal(got, want)
+    with pytest.raises(EndpointSingularity):
+        case_functions([0.25, 1.0, 0.75])
+
+
 @pytest.mark.parametrize("bad", [0.0, 1.0, float("nan")])
 def test_case_functions_array_endpoint_raises(bad):
     with pytest.raises(EndpointSingularity):

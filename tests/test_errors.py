@@ -36,9 +36,11 @@ F0 = preset("f0", 10)
     (lambda: SchlichtSeries.from_tail([0.5], order=2.5), "order"),
     (lambda: asinh_series(1.0, 1.5, 5), "power k"),
     (lambda: asinh_series(1.0, 1, 5.0), "order"),
+    (lambda: Series.from_dict({"order": 1.5, "re": [0.0, 1.0], "im": [0.0, 0.0]}), "order"),
+    (lambda: Series.from_dict({"order": "x", "re": [0.0, 1.0], "im": [0.0, 0.0]}), "order"),
 ], ids=["log_coeffs", "inv_log_coeffs", "hankel_det", "toeplitz_det", "class_check",
         "grid_radial", "grid_angular", "preset", "build_extremal", "from_tail",
-        "asinh_k", "asinh_order"])
+        "asinh_k", "asinh_order", "from_dict_fraction", "from_dict_string"])
 def test_fractional_count_is_domain_violation(call, name):
     with pytest.raises(DomainViolation, match=f"^{name} = "):
         call()
@@ -56,7 +58,8 @@ def test_out_of_range_count_is_domain_violation(call):
 @pytest.mark.parametrize("call", [
     lambda: Series([]),
     lambda: Series.from_dict({"order": 2, "re": [0.0, 1.0], "im": [0.0, 0.0]}),
-], ids=["empty_series", "inconsistent_from_dict"])
+    lambda: Series.from_dict({"re": [0.0, 1.0], "im": [0.0, 0.0]}),
+], ids=["empty_series", "inconsistent_from_dict", "from_dict_without_order"])
 def test_malformed_series_is_domain_violation(call):
     with pytest.raises(DomainViolation):
         call()

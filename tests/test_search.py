@@ -385,6 +385,77 @@ def test_pruning_keeps_earlier_ties():
     assert pruned == unpruned == (1.0, (0.0, 1.0), 12)
 
 
+def test_pruning_refine_tie_keeps_incumbent():
+    # the first pass's maximum 1 sits on ring (1, 1); the refine pass holds
+    # a ring (0.85, 1) before it in C order with the same value.  A tight
+    # bound prunes that ring, a loose one evaluates it; neither replaces the
+    # incumbent, as an unpruned pass would not
+    def objective(x, r, _z):
+        return np.where((r == 1.0) & (x >= 0.8), 1.0, 0.0)
+
+    grid = GridSpec(zeta1_steps=3, radial_steps=2, angular_steps=2, refine_rounds=1)
+    want = (1.0, (1.0, 1.0 + 0.0j), 24)
+    for height in (1.0, 2.0, math.inf):
+        def bound(x, r):
+            return np.where(r == 1.0, height, 0.0)
+        assert search._scan(objective, bound, 1.0, grid) == want
+
+
+def _count_passes(monkeypatch):
+    """Record each scan pass, opened by its ring-bound call, as the list of
+    the ring counts its objective calls take."""
+    passes = []
+    build = search._objective
+
+    def counted(fn):
+        def wrapper(*args):
+            # the bound takes (x, r), the objective (x, r, zeta)
+            if len(args) == 2:
+                passes.append([])
+            else:
+                passes[-1].append(len(args[0]))
+            return fn(*args)
+        return wrapper
+
+    def objective(*args):
+        fn, bound, depth, zeta3_at = build(*args)
+        wrapped = counted(fn)
+        # an objective that is its own bound stays one callable
+        return wrapped, wrapped if fn is bound else counted(bound), depth, zeta3_at
+
+    monkeypatch.setattr(search, "_objective", objective)
+    return passes
+
+
+@pytest.mark.parametrize("grid", [COARSE, GridSpec()], ids=["coarse", "default"])
+def test_scan_objective_calls(monkeypatch, grid):
+    # the first pass calls the objective at most twice (seed ring, then the
+    # kept rings unless the seed ring is the only one), a refine pass at
+    # most once, never on an empty ring set; the Toeplitz max majorant is
+    # its own bound and is never called
+    passes = _count_passes(monkeypatch)
+    for fid in FunctionalId:
+        for scan in (maximize, minimize_modulus):
+            passes.clear()
+            scan(fid, grid)
+            assert len(passes) == grid.refine_rounds + 1
+            assert len(passes[0]) <= 2 and all(len(p) <= 1 for p in passes[1:])
+            assert all(m >= 1 for p in passes for m in p)
+            if scan is maximize and fid.value.startswith("toeplitz"):
+                assert not any(passes)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: maximize("nope", COARSE), "unknown functional"),
+    (lambda: minimize_modulus("nope", COARSE), "unknown functional"),
+    (lambda: maximize(FunctionalId.HANKEL_LOG, COARSE, seed="x"), "seed = "),
+    (lambda: minimize_modulus(FunctionalId.HANKEL_LOG, COARSE, seed=1.5), "seed = "),
+], ids=["max_functional", "min_functional", "max_seed", "min_seed"])
+def test_bad_scan_input_is_domain_violation(call, name):
+    with pytest.raises(DomainViolation, match=f"^{name}"):
+        call()
+
+
 def test_hankel_argmax_consistency():
     # pushing the argmax through the coefficient maps reproduces the scan value
     for fid in (FunctionalId.HANKEL_LOG, FunctionalId.HANKEL_INVLOG):
