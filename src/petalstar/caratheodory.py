@@ -92,7 +92,11 @@ class CaratheodoryPoint:
     zeta3: complex
 
     def __post_init__(self):
-        if not -DOMAIN_TOL <= self.zeta1 <= 1.0 + DOMAIN_TOL:
+        try:
+            inside = -DOMAIN_TOL <= self.zeta1 <= 1.0 + DOMAIN_TOL
+        except TypeError:  # not a real number
+            inside = False
+        if not inside:
             raise DomainViolation(f"zeta1 = {self.zeta1} outside [0, 1]")
         _check_in_disk("zeta2", self.zeta2)
         _check_in_disk("zeta3", self.zeta3)
@@ -257,19 +261,33 @@ def toeplitz_invlog_reduced(p1: float, zeta: complex) -> complex:
     return complex(_quadratic(_coeffs(_TOEPLITZ_INVLOG, p1), zeta))
 
 
+def _check_majorant_domain(p1, t):
+    # array-wise, real numbers only, and negated so that NaN fails too
+    for name, value, hi in (("p1", p1, 2.0), ("t", t, 1.0)):
+        value = np.asarray(value)
+        if value.dtype.kind not in "iuf" or not (
+                (-DOMAIN_TOL <= value) & (value <= hi + DOMAIN_TOL)).all():
+            raise DomainViolation(f"{name} outside [0, {hi:g}]")
+
+
 def toeplitz_log_majorant(p1, t):
     """Term-wise absolute-value majorant of the reduced log-Toeplitz form:
     ``(p1^4 t^2 + 16 t^2 + 16 p1^2 + 8 p1^2 t^2) / 256`` with ``t = |zeta|``.
 
     Dominates ``|toeplitz_log_reduced(p1, zeta)|`` for every phase of
-    ``zeta`` and peaks at the corner ``(2, 1)`` with value 1/2.
+    ``zeta`` and peaks at the corner ``(2, 1)`` with value 1/2.  Takes
+    numbers or arrays on the reduced forms' domain, ``p1 in [0, 2]`` and
+    ``t in [0, 1]``, else :class:`DomainViolation`.
     """
+    _check_majorant_domain(p1, t)
     return _majorant(_TOEPLITZ_LOG, p1, t)
 
 
 def toeplitz_invlog_majorant(p1, t):
     """Term-wise absolute-value majorant of the reduced inverse-log-Toeplitz
-    form; peaks at the corner ``(2, 1)`` with value 5/4."""
+    form; peaks at the corner ``(2, 1)`` with value 5/4.  Same domain as
+    :func:`toeplitz_log_majorant`."""
+    _check_majorant_domain(p1, t)
     return _majorant(_TOEPLITZ_INVLOG, p1, t)
 
 

@@ -88,9 +88,8 @@ def build_extremal(spec: ExtremalSpec, order: int = DEFAULT_ORDER) -> SchlichtSe
         inner = integrate_over_t(asinh_series(spec.c, spec.k, order - 1))
         with np.errstate(over="ignore", invalid="ignore"):
             outer = exp_series(inner)
-        if not np.isfinite(outer.coeffs).all():
-            raise OverflowError
-    except OverflowError:
+    except (OverflowError, DomainViolation):
+        # c is finite, so a non-finite coefficient here is an overflow
         raise DomainViolation(f"c = {spec.c} overflows the series to order {order}") from None
     coeffs = np.zeros(order + 1, dtype=complex)
     coeffs[1:] = outer.coeffs

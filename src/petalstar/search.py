@@ -37,16 +37,11 @@ reads that one objective.
   scans it for the minima.
 
 The core only maximizes; :func:`minimize_modulus` scans the negated
-modulus.  An upper bound on each ``(x, |zeta|)`` ring prunes the rings that
-cannot beat the incumbent, and each pass evaluates the rest in one call
-(see :func:`_scan`).  Only the first pass, which has no incumbent, first
-evaluates a seed ring.  The Hankel max bound is the triangle inequality on
-the table, ``|c0| + |c1| r + |c2| r^2 + beta``.  The Toeplitz majorant is
-its own bound, so its scans read every pass's maximum off the bound and
-call no objective, and a negated modulus is bounded by 0.  The ``zeta3``
-oracles take the bound ``+inf`` and evaluate every ring.  Each functional
-has one record in ``_FORMS`` (table, ``beta``, ``x`` range and argmax
-names) and one path from its identifier to its report.
+modulus.  An upper bound on each ``(x, |zeta|)`` ring prunes the rings a
+pass need not evaluate, as :func:`_scan` states, with each scan's bound
+from :func:`_objective`.  Each functional has one record in ``_FORMS``
+(table, ``beta``, ``x`` range and argmax names) and one path from its
+identifier to its report.
 
 Scans are deterministic and run on one thread: exact ties in the
 arg-extremum resolve to the lexicographically first grid point, and reports
@@ -188,20 +183,20 @@ def _scan(objective, bound, x_hi: float, grid: GridSpec):
 
     ``bound(x, r)`` takes ``x`` of shape ``(n, 1)`` and ``r`` of shape
     ``(1, R)`` and bounds the objective from above on every ring, rounding
-    included.  The first pass evaluates the ring with the largest bound for
-    a seed value, then, in one call, the rings whose bound exceeds the seed
-    or ties it at or before the seed ring, reusing the seed ring's values
-    when it is the only one.  A refine pass has no seed: only a strictly
-    larger value replaces the incumbent, so it evaluates, in one call and
-    only if there are any, the rings whose bound exceeds the incumbent.  An
-    ``objective`` that ``is`` its ``bound`` (a function of ``x`` and ``r``
-    alone) is not called: the pass maximum is the first ring of largest
-    bound, at the pass's first angle.  No skipped ring holds the first
-    C-order maximum, so the result is the unpruned scan's; a bound of
-    ``+inf`` prunes nothing.  Each refine pass scans the
-    window ``lo`` to ``hi`` over ``(x, |zeta|, arg zeta)``, shrunk around the
-    incumbent and clipped to the domain but for the angle.  Returns
-    ``(value, (x, zeta), nodes)``, ``nodes`` counting every grid node.
+    included.  Each pass prunes its rings against a floor and evaluates, in
+    one call and only if there are any, the rings whose bound exceeds it.
+    The first pass takes its floor from the seed ring, the first ring of
+    largest bound, and also keeps the rings at or before the seed ring
+    whose bound equals the floor; a refine pass takes the incumbent, which
+    only a strictly larger value replaces.  An ``objective`` that ``is``
+    its ``bound`` (a function of ``x`` and ``r`` alone) is never called:
+    its rings read their values off the bound, at the pass's first angle.
+    No pruned ring holds the first C-order maximum, so the result is the
+    unpruned scan's; a bound of ``+inf`` prunes nothing.  Each refine pass
+    scans the window ``lo`` to ``hi`` over ``(x, |zeta|, arg zeta)``,
+    shrunk around the incumbent and clipped to the domain but for the
+    angle.  Returns ``(value, (x, zeta), nodes)``, ``nodes`` counting every
+    grid node.
     """
     two_pi = 2.0 * math.pi
     lo, hi = np.zeros(3), np.array([x_hi, 1.0, two_pi])
@@ -216,31 +211,28 @@ def _scan(objective, bound, x_hi: float, grid: GridSpec):
         t = np.linspace(lo[2], hi[2], ts, endpoint=rnd > 0)
         phase = np.exp(1j * t)
 
+        ring_bound = np.broadcast_to(bound(x[:, None], r[None, :]), (n, rs)).ravel()
+
         def rings(ids):
+            if objective is bound:
+                # constant on each ring: its first maximum is at the first angle
+                return ring_bound[ids, None]
             i, j = np.divmod(ids, rs)
             ring_r = r[j, None]
             return np.broadcast_to(objective(x[i, None], ring_r, ring_r * phase),
                                    (ids.size, ts))
 
-        ring_bound = np.broadcast_to(bound(x[:, None], r[None, :]), (n, rs)).ravel()
-        s = int(np.argmax(ring_bound))
-        if objective is bound:
-            # constant on each ring: the first maximum is on ring s, first angle
-            ids, vals = np.array([s]), ring_bound[s, None, None]
-        elif best_val is None:
-            vals = rings(np.array([s]))
-            seed = float(vals.max())
-            keep = ring_bound > seed
-            keep[:s + 1] |= ring_bound[:s + 1] == seed
-            ids = np.flatnonzero(keep)
-            if not np.array_equal(ids, [s]):
-                vals = rings(ids)
+        if best_val is None:
+            s = int(np.argmax(ring_bound))
+            floor = float(rings(np.array([s])).max())
+            keep = ring_bound > floor
+            keep[:s + 1] |= ring_bound[:s + 1] == floor
         else:
-            # only a strictly larger value replaces the incumbent
-            ids = np.flatnonzero(ring_bound > best_val)
-            vals = rings(ids) if ids.size else None
+            keep = ring_bound > best_val
+        ids = np.flatnonzero(keep)
 
-        if vals is not None:
+        if ids.size:
+            vals = rings(ids)
             m, k = np.unravel_index(int(np.argmax(vals)), vals.shape)
             if best_val is None or vals[m, k] > best_val:
                 best_val = float(vals[m, k])
@@ -299,7 +291,7 @@ def _objective(functional: FunctionalId, grid: GridSpec, mode: str, zeta3_mode: 
     ``_FORMS[functional]``, with ``beta`` taken once per ring from the
     scan's ``r = |zeta|``.  The min objective is ``-max(|alpha| - beta, 0)``,
     bounded by 0.  A Toeplitz max scans the majorant, returned as both
-    objective and bound, which :func:`_scan` then reads off the bound.  The
+    objective and bound (see :func:`_scan` for what that means).  The
     Hankel max is ``|alpha| + beta``, bounded by ``|c0| + |c1| r + |c2| r^2 +
     beta`` from the same table plus :data:`_BOUND_MARGIN`; its oracles keep
     a running maximum of ``|alpha + beta zeta3|`` over their ``zeta3`` points.
@@ -358,7 +350,10 @@ def _report(functional, grid: GridSpec, mode: str, seed: int,
     seed = _count(seed, "seed")
     if zeta3_mode not in ("exact", "boundary", "disk"):
         raise DomainViolation("zeta3_mode must be 'exact', 'boundary' or 'disk'")
-    grid = grid or GridSpec()
+    if grid is None:
+        grid = GridSpec()
+    elif not isinstance(grid, GridSpec):
+        raise DomainViolation(f"grid = {grid!r} is not a GridSpec")
     objective, bound, depth, zeta3_at = _objective(functional, grid, mode, zeta3_mode)
     _, _, x_hi, (x_name, z_name) = _FORMS[functional]
     val, (x, z), nodes = _scan(objective, bound, x_hi, grid)

@@ -61,7 +61,9 @@ class Series:
     Parameters
     ----------
     coeffs : sequence of complex
-        Coefficients ``c0 .. cN``; the truncation order is ``len(coeffs) - 1``.
+        Coefficients ``c0 .. cN``, all finite (else :class:`DomainViolation`
+        naming the first bad index); the truncation order is
+        ``len(coeffs) - 1``.
     """
 
     __slots__ = ("coeffs",)
@@ -70,6 +72,9 @@ class Series:
         arr = np.asarray(coeffs, dtype=complex)
         if arr.ndim != 1 or arr.size == 0:
             raise DomainViolation("coeffs must be a non-empty 1-d sequence")
+        if not np.isfinite(arr).all():
+            i = int(np.argmin(np.isfinite(arr)))
+            raise DomainViolation(f"coefficient {i} = {arr[i]} is not finite")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)

@@ -1,11 +1,15 @@
 """Input checks: a non-integer count fails as a domain error naming it, and
-malformed series data fails as a domain error."""
+malformed series data, a non-finite coefficient and a parameter outside its
+domain fail as domain errors."""
+
+import math
 
 import numpy as np
 import pytest
 
 from petalstar import (
     PRESETS,
+    CaratheodoryPoint,
     SchlichtSeries,
     Series,
     asinh_series,
@@ -16,7 +20,11 @@ from petalstar import (
     log_coeffs,
     preset,
     quad_disk_max_grid,
+    rotate,
+    rotation_check,
     toeplitz_det,
+    toeplitz_invlog_majorant,
+    toeplitz_log_majorant,
 )
 from petalstar.errors import DomainViolation
 
@@ -62,6 +70,34 @@ def test_out_of_range_count_is_domain_violation(call):
 ], ids=["empty_series", "inconsistent_from_dict", "from_dict_without_order"])
 def test_malformed_series_is_domain_violation(call):
     with pytest.raises(DomainViolation):
+        call()
+
+
+@pytest.mark.parametrize("call, index", [
+    (lambda: Series([math.nan, 1.0]), 0),
+    (lambda: SchlichtSeries([0.0, 1.0, math.inf]), 2),
+    (lambda: Series.from_dict({"order": 1, "re": [0.0, math.nan], "im": [0.0, 0.0]}), 1),
+    (lambda: rotate(F0, math.nan), 2),
+    (lambda: asinh_series(math.nan, 1, 3), 1),
+    (lambda: rotation_check(F0, [math.nan]), 2),
+], ids=["series_nan", "schlicht_inf", "from_dict_nan", "rotate_nan", "asinh_nan",
+        "rotation_check_nan"])
+def test_non_finite_series_is_domain_violation(call, index):
+    # the message names the first bad coefficient
+    with pytest.raises(DomainViolation, match=f"^coefficient {index} = .* is not finite"):
+        call()
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: CaratheodoryPoint("a", 0.0, 0.0), "zeta1"),
+    (lambda: toeplitz_log_majorant(3.0, 0.5), "p1"),
+    (lambda: toeplitz_log_majorant(1.0, 2.0), "t"),
+    (lambda: toeplitz_invlog_majorant(np.array([0.0, math.nan]), 0.5), "p1"),
+    (lambda: toeplitz_invlog_majorant(1.0, np.array([0.5, -0.1])), "t"),
+], ids=["point_string", "log_majorant_p1", "log_majorant_t", "invlog_majorant_nan",
+        "invlog_majorant_t_array"])
+def test_parameter_outside_domain_is_domain_violation(call, name):
+    with pytest.raises(DomainViolation, match=f"^{name} "):
         call()
 
 

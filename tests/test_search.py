@@ -401,6 +401,20 @@ def test_pruning_refine_tie_keeps_incumbent():
         assert search._scan(objective, bound, 1.0, grid) == want
 
 
+def test_self_bounded_refine_beats_first_pass():
+    # an objective that is its own bound is read off the bound in every
+    # pass; a refine pass here finds a larger value than the first pass, and
+    # the scan matches one that evaluates every ring
+    def peak(x, r, _z=None):
+        return -((x - 0.37) ** 2) - (r - 0.61) ** 2
+
+    grid = GridSpec(zeta1_steps=5, radial_steps=4, angular_steps=3, refine_rounds=2)
+    first = search._scan(peak, peak, 1.0, dataclasses.replace(grid, refine_rounds=0))
+    got = search._scan(peak, peak, 1.0, grid)
+    assert got[0] > first[0]
+    assert got == search._scan(peak, search._unbounded, 1.0, grid)
+
+
 def _count_passes(monkeypatch):
     """Record each scan pass, opened by its ring-bound call, as the list of
     the ring counts its objective calls take."""
@@ -450,7 +464,10 @@ def test_scan_objective_calls(monkeypatch, grid):
     (lambda: minimize_modulus("nope", COARSE), "unknown functional"),
     (lambda: maximize(FunctionalId.HANKEL_LOG, COARSE, seed="x"), "seed = "),
     (lambda: minimize_modulus(FunctionalId.HANKEL_LOG, COARSE, seed=1.5), "seed = "),
-], ids=["max_functional", "min_functional", "max_seed", "min_seed"])
+    (lambda: maximize(FunctionalId.HANKEL_LOG, 0), "grid = "),
+    (lambda: minimize_modulus(FunctionalId.HANKEL_LOG, {"zeta1_steps": 3}), "grid = "),
+], ids=["max_functional", "min_functional", "max_seed", "min_seed", "falsy_grid",
+        "dict_grid"])
 def test_bad_scan_input_is_domain_violation(call, name):
     with pytest.raises(DomainViolation, match=f"^{name}"):
         call()

@@ -345,3 +345,31 @@ def test_rotate_law():
     direct = np.exp(-1j * theta) * f(np.exp(1j * theta) * z)
     assert abs(ft(z) - direct) <= 1e-12
     assert isinstance(ft, SchlichtSeries)
+
+
+@pytest.mark.parametrize("call, want", [
+    (lambda: 2 - S(1, 2, 3), S(1, -2, -3)),
+    (lambda: S(1, 2, 3) * 2, S(2, 4, 6)),
+    (lambda: S(1, 2) + "x", TypeError),
+    (lambda: S(1, 2) * "x", TypeError),
+    (lambda: S(1, 2) / "x", TypeError),
+    (lambda: repr(S(1, 2)), "Series(order=1, coeffs="),
+    (lambda: SchlichtSeries.from_tail([0.5, 0.25], order=1),
+     SchlichtSeries([0, 1, 0.5, 0.25])),
+    (lambda: differentiate(S(5)), S(0)),
+    (lambda: rotate(S(1, 2, 3), math.pi / 2), S(-1j, 2, 3j)),
+], ids=["rsub", "mul_scalar", "add_str", "mul_str", "div_str", "repr",
+        "from_tail_low_order", "differentiate_order_0", "rotate_plain"])
+def test_less_travelled_paths(call, want):
+    # operand types a series does not take raise TypeError; the rest keep
+    # the type and order of the wanted series, up to rounding of e^{i theta}
+    if want is TypeError:
+        with pytest.raises(TypeError):
+            call()
+        return
+    got = call()
+    if isinstance(want, str):
+        assert got.startswith(want)
+        return
+    assert type(got) is type(want) and got.order == want.order
+    assert residual(got, want) <= 1e-15
