@@ -165,16 +165,38 @@ def _coeffs(table, x):
     return [(a + u * (b + u * c)) / den for a, b, c in rows]
 
 
+def _coeff_rows(table):
+    """The evaluator ``x -> np.array(_coeffs(table, x))`` of an axis ``x`` of
+    shape ``(n,)``: the same Horner steps on the three rows at once, so that
+    the ``(3, n)`` result is bit-equal to :func:`_coeffs`."""
+    rows, den = table
+    a, b, c = np.array(rows, dtype=float).T[:, :, None]
+
+    def coeffs(x):
+        u = x * x
+        return (a + u * (b + u * c)) / den
+    return coeffs
+
+
 def _quadratic(c, z):
-    """Array-safe ``c0 + c1 z + c2 z^2`` for coefficients ``c``."""
-    return c[0] + c[1] * z + c[2] * (z * z)
+    """Array-safe ``c0 + c1 z + c2 z^2`` for coefficients ``c``, summed in
+    place into ``c1 z``, the largest of the three operands."""
+    out = c[1] * z
+    out += c[0]
+    out += c[2] * (z * z)
+    return out
+
+
+def _abs_table(table):
+    """The table of a form's term-wise absolute-value majorant."""
+    rows, den = table
+    return tuple(tuple(abs(a) for a in row) for row in rows), den
 
 
 def _majorant(table, x, t):
     """Term-wise absolute-value majorant of a form at ``t = |z|``: the
     table's absolute values, evaluated as the form is."""
-    rows, den = table
-    return _quadratic(_coeffs(([[abs(a) for a in row] for row in rows], den), x), t)
+    return _quadratic(_coeffs(_abs_table(table), x), t)
 
 
 # -- Hankel functionals in p- and zeta-variables ------------------------------
@@ -198,8 +220,17 @@ def hankel_invlog_from_p(p) -> complex:
 
 def _hankel_beta(z1, r):
     """The ``zeta3`` coefficient of both functionals at ``|zeta2| = r``:
-    ``12 z1 (1 - z1^2) (1 - r^2) / 144``, real and nonnegative."""
-    return 12.0 * z1 * (1.0 - z1 * z1) * ((1.0 - r * r) / 144.0)
+    ``12 z1 (1 - z1^2) (1 - r^2) / 144``, real and nonnegative, as the
+    product of its ``z1`` and ``r`` factors, which the scans take apart."""
+    return _beta_z1(z1) * _beta_r(r)
+
+
+def _beta_z1(z1):
+    return 12.0 * z1 * (1.0 - z1 * z1)
+
+
+def _beta_r(r):
+    return (1.0 - r * r) / 144.0
 
 
 def _hankel_from_zeta(table, point: CaratheodoryPoint) -> complex:
@@ -261,13 +292,17 @@ def toeplitz_invlog_reduced(p1: float, zeta: complex) -> complex:
     return complex(_quadratic(_coeffs(_TOEPLITZ_INVLOG, p1), zeta))
 
 
-def _check_majorant_domain(p1, t):
-    # array-wise, real numbers only, and negated so that NaN fails too
+def _majorant_domain(p1, t):
+    """``p1`` and ``t`` as arrays, checked array-wise: real numbers only, and
+    negated so that NaN fails too."""
+    values = []
     for name, value, hi in (("p1", p1, 2.0), ("t", t, 1.0)):
         value = np.asarray(value)
         if value.dtype.kind not in "iuf" or not (
                 (-DOMAIN_TOL <= value) & (value <= hi + DOMAIN_TOL)).all():
             raise DomainViolation(f"{name} outside [0, {hi:g}]")
+        values.append(value)
+    return values
 
 
 def toeplitz_log_majorant(p1, t):
@@ -276,19 +311,17 @@ def toeplitz_log_majorant(p1, t):
 
     Dominates ``|toeplitz_log_reduced(p1, zeta)|`` for every phase of
     ``zeta`` and peaks at the corner ``(2, 1)`` with value 1/2.  Takes
-    numbers or arrays on the reduced forms' domain, ``p1 in [0, 2]`` and
-    ``t in [0, 1]``, else :class:`DomainViolation`.
+    numbers, sequences or arrays on the reduced forms' domain, ``p1 in [0,
+    2]`` and ``t in [0, 1]``, else :class:`DomainViolation`.
     """
-    _check_majorant_domain(p1, t)
-    return _majorant(_TOEPLITZ_LOG, p1, t)
+    return _majorant(_TOEPLITZ_LOG, *_majorant_domain(p1, t))
 
 
 def toeplitz_invlog_majorant(p1, t):
     """Term-wise absolute-value majorant of the reduced inverse-log-Toeplitz
     form; peaks at the corner ``(2, 1)`` with value 5/4.  Same domain as
     :func:`toeplitz_log_majorant`."""
-    _check_majorant_domain(p1, t)
-    return _majorant(_TOEPLITZ_INVLOG, p1, t)
+    return _majorant(_TOEPLITZ_INVLOG, *_majorant_domain(p1, t))
 
 
 # -- case analysis for the inverse-Hankel sharp bound --------------------------
@@ -298,8 +331,11 @@ def disk_objective(abc: ABCTriple, zeta2: complex) -> float:
     """``|A + B z + C z^2| + 1 - |z|^2`` evaluated at ``z = zeta2``.
 
     This is the quantity whose maximum over the closed disk the piecewise
-    formula in :mod:`petalstar.diskmax` computes.
+    formula in :mod:`petalstar.diskmax` computes.  A non-finite triple entry
+    raises :class:`DomainViolation`.
     """
+    if not np.isfinite(abc).all():
+        raise DomainViolation(f"triple {tuple(abc)} is not finite")
     _check_in_disk("zeta2", zeta2)
     a, b, c = abc
     return float(abs(a + b * zeta2 + c * zeta2 * zeta2) + 1.0 - abs(zeta2) ** 2)
@@ -371,13 +407,21 @@ CASE_SPLIT_POINT = math.sqrt((-57.0 + 6.0 * math.sqrt(157.0)) / 89.0)
 ENVELOPE_INNER_PEAK = math.sqrt(6.0 / 37.0)
 
 
+def _finite_envelope_arg(t):
+    t = np.asarray(t, dtype=float)
+    if not np.isfinite(t).all():
+        raise DomainViolation("envelope argument t is not finite")
+    return t
+
+
 def envelope_inner(t):
     """Upper envelope ``(9 + 12 t^2 - 37 t^4) / 144`` of the inverse-Hankel
     modulus on the low range ``0 < zeta1 <= CASE_SPLIT_POINT``.
 
-    Peaks at :data:`ENVELOPE_INNER_PEAK` with value ~ 0.0692568.
+    Peaks at :data:`ENVELOPE_INNER_PEAK` with value ~ 0.0692568.  Takes a
+    number or an array; a non-finite entry raises :class:`DomainViolation`.
     """
-    t = np.asarray(t, dtype=float)
+    t = _finite_envelope_arg(t)
     out = (9.0 + 12.0 * t ** 2 - 37.0 * t ** 4) / 144.0
     return float(out) if out.ndim == 0 else out
 
@@ -386,9 +430,10 @@ def envelope_outer(t):
     """Upper envelope on the high range ``CASE_SPLIT_POINT <= zeta1 < 1``:
     ``sqrt((75 - 11 t^2) / (3 + t^2)) (9 - 6 t^2 + 13 t^4) / 576``.
 
-    Equals 45/576 at 0 and exactly 1/9 at 1.
+    Equals 45/576 at 0 and exactly 1/9 at 1.  Takes what
+    :func:`envelope_inner` takes.
     """
-    t = np.asarray(t, dtype=float)
+    t = _finite_envelope_arg(t)
     out = np.sqrt((75.0 - 11.0 * t ** 2) / (3.0 + t ** 2)) * (
         9.0 - 6.0 * t ** 2 + 13.0 * t ** 4
     ) / 576.0

@@ -41,9 +41,11 @@ class DomainViolation(PetalstarError):
 
 
 def _count(value, name: str) -> int:
-    """``value`` as an ``int`` (a NumPy integer passes), else
-    :class:`DomainViolation` naming the count."""
+    """``value`` as an ``int`` (a NumPy integer passes, a ``bool`` does not),
+    else :class:`DomainViolation` naming the count."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         return operator.index(value)
     except TypeError:
         raise DomainViolation(f"{name} = {value!r} is not an integer") from None

@@ -110,9 +110,13 @@ def petal_map(z: complex) -> complex:
 
     Principal branch: ``arcsinh(w) = log(w + sqrt(w^2 + 1))`` with principal
     square root and logarithm, cut along the imaginary axis outside
-    ``[-i, i]``; analytic on the open unit disk.
+    ``[-i, i]``; analytic on the open unit disk.  A non-finite ``z`` raises
+    :class:`DomainViolation`.
     """
-    return 1.0 + complex(np.arcsinh(complex(z)))
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainViolation(f"z = {z} is not finite")
+    return 1.0 + complex(np.arcsinh(z))
 
 
 def in_petal(w: complex) -> bool:

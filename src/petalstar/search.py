@@ -37,11 +37,14 @@ reads that one objective.
   scans it for the minima.
 
 The core only maximizes; :func:`minimize_modulus` scans the negated
-modulus.  An upper bound on each ``(x, |zeta|)`` ring prunes the rings a
-pass need not evaluate, as :func:`_scan` states, with each scan's bound
-from :func:`_objective`.  Each functional has one record in ``_FORMS``
-(table, ``beta``, ``x`` range and argmax names) and one path from its
-identifier to its report.
+modulus.  Each pass evaluates the functional's coefficient table once on
+its ``x`` axis, and an upper bound on each ``(x, |zeta|)`` ring, read from
+those rows, prunes the rings the pass need not evaluate, whose objective
+reads the same rows; :func:`_scan` states the pass contract and
+:func:`_objective` builds each scan's rows, objective and bound.  Each
+functional has one record in ``_FORMS`` (table, ``beta``'s ``x`` factor,
+``x`` range and argmax names) and one path from its identifier to its
+report.
 
 Scans are deterministic and run on one thread: exact ties in the
 arg-extremum resolve to the lexicographically first grid point, and reports
@@ -79,9 +82,15 @@ __all__ = [
 ]
 
 #: Rounding margin added to the Hankel max ring bound.  It must exceed the
-#: bound's largest shortfall below the split's ``|alpha| + beta``: about
-#: 1e-16 over the default grid's first pass and 10^5 random points.
+#: bound's largest shortfall below the split's ``|alpha| + beta``, whose
+#: rounding differs from the bound's matrix product: about 1e-17 over the
+#: default grid's first pass and 10^5 random points.
 _BOUND_MARGIN = 1e-13
+
+#: Cap on ``zeta1_steps * radial_steps``, the rings a pass bounds, and on
+#: ``radial_steps * angular_steps``, the most points one pass evaluates at
+#: one ``x``; the 301 x 61 x 96 grid has 18,361 and 5,856.
+_MAX_PASS_POINTS = 10 ** 6
 
 
 class FunctionalId(str, Enum):
@@ -118,7 +127,9 @@ class GridSpec:
     Toeplitz scans.  After the initial full-domain pass, ``refine_rounds``
     local passes rescan a window around the incumbent whose width shrinks
     by ``refine_shrink`` each round.  Step counts and ``refine_rounds`` are
-    integers; NumPy integers are stored as Python ints.
+    integers; NumPy integers are stored as Python ints.  Neither
+    ``zeta1_steps * radial_steps`` nor ``radial_steps * angular_steps`` may
+    exceed ``_MAX_PASS_POINTS``.
     """
 
     zeta1_steps: int = 201
@@ -134,6 +145,10 @@ class GridSpec:
             object.__setattr__(self, name, _count(getattr(self, name), name))
         if min(self.zeta1_steps, self.radial_steps, self.angular_steps) < 2:
             raise DomainViolation("all step counts must be >= 2")
+        if max(self.zeta1_steps, self.angular_steps) * self.radial_steps > _MAX_PASS_POINTS:
+            raise DomainViolation(
+                f"zeta1_steps * radial_steps and radial_steps * angular_steps "
+                f"must be at most {_MAX_PASS_POINTS}")
         if self.refine_rounds < 0:
             raise DomainViolation("refine_rounds must be >= 0")
         if not 0.0 < self.refine_shrink < 1.0:
@@ -172,78 +187,101 @@ class BoundReport:
 # -- grid scan core ------------------------------------------------------------
 
 
-def _scan(objective, bound, x_hi: float, grid: GridSpec):
+def _axis(ramp, lo: float, hi: float, endpoint: bool = True):
+    """``np.linspace(lo, hi, ramp.size, endpoint=endpoint)``, bit for bit, from
+    ``ramp = np.arange(ramp.size, dtype=float)``: the same multiply by the
+    step (a divide and multiply where the step underflows to 0) and add."""
+    div = ramp.size - 1 if endpoint else ramp.size
+    step = (hi - lo) / div
+    y = ramp * step if step != 0.0 else ramp / div * (hi - lo)
+    y += lo
+    if endpoint:
+        y[-1] = hi
+    return y
+
+
+def _scan(rows, objective, bound, x_hi: float, grid: GridSpec):
     """Maximize ``objective`` over ``x in [0, x_hi]`` times the closed disk.
 
-    ``objective(x, r, zeta)`` receives ``m`` rings as ``x`` and ``r =
-    |zeta|`` of shape ``(m, 1)`` and ``zeta = r e^{it}`` of shape ``(m, A)``,
-    and returns real values broadcastable to ``(m, A)``; objectives of ``r``
-    alone leave the angular axis to the tie-break, which pins its first
-    angle.  Exact ties resolve to the first grid point in C order.
+    Each pass calls ``rows(x)`` once on its ``x`` axis, of shape ``(n,)``,
+    for a ``(k, n)`` array whose column ``i`` holds what the objective and
+    the bound need of ``x[i]``; they read these rows in place of ``x``.
+    ``bound(p, r)`` takes all of them as ``p`` of shape ``(k, n, 1)`` with
+    ``r`` of shape ``(R,)`` and bounds the objective from above on every
+    ring, rounding included.  ``objective(p, r, zeta)`` receives ``m``
+    rings as their columns ``p`` of shape ``(k, m, 1)``, ``r = |zeta|`` of
+    shape ``(m, 1)`` and ``zeta = r e^{it}`` of shape ``(m, A)``, and
+    returns real values of shape ``(m, A)``, or ``(m, 1)`` for an objective
+    of the rows and ``r`` alone, which pins the first angle of each ring.
+    Exact ties resolve to the first grid point in C order.
 
-    ``bound(x, r)`` takes ``x`` of shape ``(n, 1)`` and ``r`` of shape
-    ``(1, R)`` and bounds the objective from above on every ring, rounding
-    included.  Each pass prunes its rings against a floor and evaluates, in
-    one call and only if there are any, the rings whose bound exceeds it.
-    The first pass takes its floor from the seed ring, the first ring of
-    largest bound, and also keeps the rings at or before the seed ring
-    whose bound equals the floor; a refine pass takes the incumbent, which
-    only a strictly larger value replaces.  An ``objective`` that ``is``
-    its ``bound`` (a function of ``x`` and ``r`` alone) is never called:
-    its rings read their values off the bound, at the pass's first angle.
-    No pruned ring holds the first C-order maximum, so the result is the
-    unpruned scan's; a bound of ``+inf`` prunes nothing.  Each refine pass
-    scans the window ``lo`` to ``hi`` over ``(x, |zeta|, arg zeta)``,
-    shrunk around the incumbent and clipped to the domain but for the
-    angle.  Returns ``(value, (x, zeta), nodes)``, ``nodes`` counting every
-    grid node.
+    The first pass evaluates the seed ring, the first ring of largest
+    bound, as the first incumbent.  Each pass then evaluates, in one call
+    and only if there are any, the other rings whose bound exceeds the
+    incumbent, and in the first pass also those before the seed ring whose
+    bound equals it.  A ring replaces the incumbent with a larger value, or
+    in the first pass with an equal one before the seed ring.  An
+    ``objective`` that ``is`` its ``bound`` (a function of the rows and
+    ``r`` alone) is never called: its rings read their values off the
+    bound, at the pass's first angle.  No pruned ring holds the first
+    C-order maximum, so the result is the unpruned scan's; a bound of
+    ``+inf`` prunes nothing.
+
+    Each refine pass scans the window ``lo`` to ``hi`` over ``(x, |zeta|,
+    arg zeta)``, three Python floats shrunk around the incumbent and
+    clipped to the domain but for the angle; every axis is
+    ``np.linspace``'s, built by :func:`_axis`.  Returns ``(value, (x,
+    zeta), nodes)``, ``nodes`` counting every grid node.
     """
     two_pi = 2.0 * math.pi
-    lo, hi = np.zeros(3), np.array([x_hi, 1.0, two_pi])
+    lo, hi = (0.0, 0.0, 0.0), (x_hi, 1.0, two_pi)
     n, rs, ts = grid.zeta1_steps, grid.radial_steps, grid.angular_steps
+    x_ramp, r_ramp, t_ramp = (np.arange(k, dtype=float) for k in (n, rs, ts))
     best_val = None
-    best_params = None
 
     for rnd in range(grid.refine_rounds + 1):
-        x = np.linspace(lo[0], hi[0], n)
-        r = np.linspace(lo[1], hi[1], rs)
+        x = _axis(x_ramp, lo[0], hi[0])
+        r = _axis(r_ramp, lo[1], hi[1])
         # the first pass's window is the whole circle, whose end 2 pi is 0
-        t = np.linspace(lo[2], hi[2], ts, endpoint=rnd > 0)
-        phase = np.exp(1j * t)
+        phase = np.exp(1j * _axis(t_ramp, lo[2], hi[2], endpoint=rnd > 0))
+        p = rows(x)
+        ring_bound = np.broadcast_to(bound(p[:, :, None], r), (n, rs)).ravel()
 
-        ring_bound = np.broadcast_to(bound(x[:, None], r[None, :]), (n, rs)).ravel()
-
-        def rings(ids):
+        def first_max(ids):
+            # the first C-order maximum over the rings ids: value, ring, point
             if objective is bound:
                 # constant on each ring: its first maximum is at the first angle
-                return ring_bound[ids, None]
-            i, j = np.divmod(ids, rs)
-            ring_r = r[j, None]
-            return np.broadcast_to(objective(x[i, None], ring_r, ring_r * phase),
-                                   (ids.size, ts))
+                vals = ring_bound[ids, None]
+            else:
+                ring_r = r[ids % rs, None]
+                vals = objective(p[:, ids // rs, None], ring_r, ring_r * phase)
+            m, k = divmod(int(np.argmax(vals)), vals.shape[1])
+            ring = int(ids[m])
+            point = (float(x[ring // rs]), complex(r[ring % rs] * phase[k]))
+            return float(vals[m, k]), ring, point
 
+        # the incumbent's place in this pass's C order: the seed ring's in the
+        # first pass, before every ring in a refine pass
+        seed = -1
         if best_val is None:
-            s = int(np.argmax(ring_bound))
-            floor = float(rings(np.array([s])).max())
-            keep = ring_bound > floor
-            keep[:s + 1] |= ring_bound[:s + 1] == floor
-        else:
-            keep = ring_bound > best_val
+            seed = int(np.argmax(ring_bound))
+            best_val, _, best_params = first_max(np.array([seed]))
+        keep = ring_bound > best_val
+        if seed >= 0:
+            keep[:seed] |= ring_bound[:seed] == best_val
+            keep[seed] = False
         ids = np.flatnonzero(keep)
 
         if ids.size:
-            vals = rings(ids)
-            m, k = np.unravel_index(int(np.argmax(vals)), vals.shape)
-            if best_val is None or vals[m, k] > best_val:
-                best_val = float(vals[m, k])
-                i, j = divmod(int(ids[m]), rs)
-                best_params = (float(x[i]), complex(r[j] * phase[k]))
+            val, ring, params = first_max(ids)
+            if val > best_val or val == best_val and ring < seed:
+                best_val, best_params = val, params
 
         x_c, z_c = best_params
-        center = np.array([x_c, abs(z_c), float(np.angle(z_c)) % two_pi])
-        w = (hi - lo) * grid.refine_shrink
-        lo = np.maximum(center - w / 2.0, (0.0, 0.0, -math.inf))
-        hi = np.minimum(center + w / 2.0, (x_hi, 1.0, math.inf))
+        center = (x_c, abs(z_c), math.atan2(z_c.imag, z_c.real) % two_pi)
+        half = [(b - a) * grid.refine_shrink / 2.0 for a, b in zip(lo, hi)]
+        lo = [max(c - w, e) for c, w, e in zip(center, half, (0.0, 0.0, -math.inf))]
+        hi = [min(c + w, e) for c, w, e in zip(center, half, (x_hi, 1.0, math.inf))]
 
     return best_val, best_params, (grid.refine_rounds + 1) * n * rs * ts
 
@@ -257,79 +295,99 @@ def _zeta3_grid(zeta3_mode: str, grid: GridSpec) -> np.ndarray:
     return (r3[:, None] * np.exp(1j * t3)[None, :]).ravel()
 
 
-def _zero(_x, _r):
+def _zero(_p, _r):
     """Ring bound of the min scans, whose objectives are negated moduli, and
     the ``beta`` of the Toeplitz forms, which have no ``zeta3``."""
     return 0.0
 
 
-def _unbounded(_x, _r):
+def _unbounded(_p, _r):
     """Ring bound of the max oracles, which evaluate every ring."""
     return math.inf
 
 
 #: Each functional's form ``alpha + beta zeta3``: the coefficient table of
-#: ``alpha``, ``beta(x, r)``, the upper end of ``x`` and the argmax names of
-#: ``(x, zeta)``.
+#: ``alpha``, the ``x`` factor of ``beta`` (``None`` for a form without
+#: ``zeta3``), the upper end of ``x`` and the argmax names of ``(x, zeta)``.
 _FORMS = {
-    FunctionalId.HANKEL_LOG: (cth._HANKEL_LOG_ALPHA, cth._hankel_beta, 1.0, ("zeta1", "zeta2")),
-    FunctionalId.HANKEL_INVLOG: (cth._HANKEL_INVLOG_ALPHA, cth._hankel_beta, 1.0,
+    FunctionalId.HANKEL_LOG: (cth._HANKEL_LOG_ALPHA, cth._beta_z1, 1.0, ("zeta1", "zeta2")),
+    FunctionalId.HANKEL_INVLOG: (cth._HANKEL_INVLOG_ALPHA, cth._beta_z1, 1.0,
                                  ("zeta1", "zeta2")),
-    FunctionalId.TOEPLITZ_LOG: (cth._TOEPLITZ_LOG, _zero, 2.0, ("p1", "zeta")),
-    FunctionalId.TOEPLITZ_INVLOG: (cth._TOEPLITZ_INVLOG, _zero, 2.0, ("p1", "zeta")),
+    FunctionalId.TOEPLITZ_LOG: (cth._TOEPLITZ_LOG, None, 2.0, ("p1", "zeta")),
+    FunctionalId.TOEPLITZ_INVLOG: (cth._TOEPLITZ_INVLOG, None, 2.0, ("p1", "zeta")),
 }
 
 
 def _objective(functional: FunctionalId, grid: GridSpec, mode: str, zeta3_mode: str):
-    """The ``(x, zeta)`` objective of one scan for :func:`_scan`.
+    """The rows, objective and ring bound of one scan for :func:`_scan`.
 
-    Returns ``(objective, bound, depth, zeta3_at)``: ``bound`` is the ring
-    bound (``+inf`` for the oracles), ``depth`` counts the ``zeta3`` points
-    per grid node, and ``zeta3_at(x, zeta)`` is the ``zeta3`` at which the
-    objective's value is attained, ``None`` for a form without ``zeta3``.
-    Every objective reads the form ``alpha + beta zeta3`` of
-    ``_FORMS[functional]``, with ``beta`` taken once per ring from the
-    scan's ``r = |zeta|``.  The min objective is ``-max(|alpha| - beta, 0)``,
-    bounded by 0.  A Toeplitz max scans the majorant, returned as both
-    objective and bound (see :func:`_scan` for what that means).  The
-    Hankel max is ``|alpha| + beta``, bounded by ``|c0| + |c1| r + |c2| r^2 +
-    beta`` from the same table plus :data:`_BOUND_MARGIN`; its oracles keep
-    a running maximum of ``|alpha + beta zeta3|`` over their ``zeta3`` points.
+    Returns ``(rows, objective, bound, depth, zeta3_at)``: ``bound`` is the
+    ring bound (``+inf`` for the oracles), ``depth`` counts the ``zeta3``
+    points per grid node, and ``zeta3_at(x, zeta)`` is the ``zeta3`` at
+    which the objective's value is attained, ``None`` for a form without
+    ``zeta3``.  ``rows(x)`` evaluates the coefficient table of
+    ``_FORMS[functional]`` once per pass, bit-equal to ``cth._coeffs``, and
+    for the Hankel forms stacks ``beta``'s ``x`` factor below it; every
+    objective reads the form ``alpha + beta zeta3`` from those rows, with
+    ``beta``'s ``r`` factor taken once per ring.  The min objective is
+    ``-max(|alpha| - beta, 0)``, bounded by 0.  A Toeplitz max scans the
+    majorant, the absolute-value table's rows, returned as both objective
+    and bound (see :func:`_scan` for what that means).  The Hankel max is
+    ``|alpha| + beta``, bounded by ``|c0| + |c1| r + |c2| r^2 + beta`` from
+    the same rows plus :data:`_BOUND_MARGIN`; its oracles keep a running
+    maximum of ``|alpha + beta zeta3|`` over their ``zeta3`` points.
     """
-    table, beta, _, _ = _FORMS[functional]
-    if mode == "max" and beta is _zero:
-        def majorant(x, r, _z=None):
-            return cth._majorant(table, x, r)
-        return majorant, majorant, 1, None
+    table, beta_x, _, _ = _FORMS[functional]
+    if mode == "max" and beta_x is None:
+        def majorant(p, r, _z=None):
+            return cth._quadratic(p, r)
+        return cth._coeff_rows(cth._abs_table(table)), majorant, majorant, 1, None
 
-    def split(x, z, r):
-        return cth._quadratic(cth._coeffs(table, x), z), beta(x, r)
+    coeffs = cth._coeff_rows(table)
+    if beta_x is None:
+        rows, beta = coeffs, _zero
+    else:
+        def rows(x):
+            return np.concatenate((coeffs(x), beta_x(x)[None]))
+
+        def beta(p, r):
+            return p[3] * cth._beta_r(r)
+
+    def split(p, r, z):
+        return cth._quadratic(p, z), beta(p, r)
+
+    def split_at(x, z):
+        # one point, from the rows of the axis [x]
+        return split(rows(np.array([x]))[:, 0], abs(z), z)
 
     if mode == "max" and zeta3_mode != "exact":
         z3_grid = _zeta3_grid(zeta3_mode, grid)
 
-        def oracle(x, r, z):
-            alpha, b = split(x, z, r)
+        def oracle(p, r, z):
+            alpha, b = split(p, r, z)
             return reduce(np.maximum, (np.abs(alpha + b * z3) for z3 in z3_grid))
 
         def oracle_zeta3(x, z):
-            alpha, b = split(x, z, abs(z))
+            alpha, b = split_at(x, z)
             return z3_grid[int(np.argmax(np.abs(alpha + b * z3_grid)))]
 
-        return oracle, _unbounded, z3_grid.size, oracle_zeta3
+        return rows, oracle, _unbounded, z3_grid.size, oracle_zeta3
 
-    def objective(x, r, z):
-        alpha, b = split(x, z, r)
+    def objective(p, r, z):
+        alpha, b = split(p, r, z)
         if mode == "max":
             return np.abs(alpha) + b
         return -np.maximum(np.abs(alpha) - b, 0.0)
 
-    def max_bound(x, r):
-        moduli = [np.abs(c) for c in cth._coeffs(table, x)]
-        return cth._quadratic(moduli, r) + beta(x, r) + _BOUND_MARGIN
+    def max_bound(p, r):
+        # one matrix product of the rows' moduli with (1, r, r^2, beta's r
+        # factor); the margin, added to |c0|, covers its rounding too
+        moduli = np.abs(p[:, :, 0])
+        moduli[0] += _BOUND_MARGIN
+        return moduli.T @ np.array((np.ones_like(r), r, r * r, cth._beta_r(r)))
 
     def zeta3_at(x, z):
-        alpha, b = (complex(v) for v in split(x, z, abs(z)))
+        alpha, b = (complex(v) for v in split_at(x, z))
         if alpha == 0.0 or b == 0.0:
             return 1.0 if mode == "max" else 0.0
         # the unit phase lining beta zeta3 (beta > 0) up with alpha; the minimum
@@ -337,8 +395,8 @@ def _objective(functional: FunctionalId, grid: GridSpec, mode: str, zeta3_mode: 
         z3 = alpha / abs(alpha)
         return z3 if mode == "max" else -z3 * min(abs(alpha) / abs(b), 1.0)
 
-    return (objective, max_bound if mode == "max" else _zero, 1,
-            None if beta is _zero else zeta3_at)
+    return (rows, objective, max_bound if mode == "max" else _zero, 1,
+            None if beta_x is None else zeta3_at)
 
 
 def _report(functional, grid: GridSpec, mode: str, seed: int,
@@ -354,9 +412,9 @@ def _report(functional, grid: GridSpec, mode: str, seed: int,
         grid = GridSpec()
     elif not isinstance(grid, GridSpec):
         raise DomainViolation(f"grid = {grid!r} is not a GridSpec")
-    objective, bound, depth, zeta3_at = _objective(functional, grid, mode, zeta3_mode)
+    rows, objective, bound, depth, zeta3_at = _objective(functional, grid, mode, zeta3_mode)
     _, _, x_hi, (x_name, z_name) = _FORMS[functional]
-    val, (x, z), nodes = _scan(objective, bound, x_hi, grid)
+    val, (x, z), nodes = _scan(rows, objective, bound, x_hi, grid)
     argmax = {x_name: x, f"{z_name}_re": z.real, f"{z_name}_im": z.imag}
     if zeta3_at is not None:
         z3 = complex(zeta3_at(x, z))

@@ -199,6 +199,14 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert rep["deviation"] == 0.5
 
 
+def test_verify_oversized_grid_is_argument_error(capsys):
+    # the grid fails at construction, before a scan could allocate its rings
+    code, out, err = run(capsys, "verify", "--zeta1-steps", str(10 ** 12))
+    assert code == 2
+    assert out == ""
+    assert "at most" in err
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1"])
 def test_verify_bad_tol_is_argument_error(capsys, tol):
     code, out, err = run(capsys, "verify", "--functional", "toeplitz-log",

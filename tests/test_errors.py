@@ -1,6 +1,6 @@
-"""Input checks: a non-integer count fails as a domain error naming it, and
-malformed series data, a non-finite coefficient and a parameter outside its
-domain fail as domain errors."""
+"""Input checks: a non-integer count, a bool included, fails as a domain
+error naming it, and malformed series data, a non-finite coefficient or
+parameter and a parameter outside its domain fail as domain errors."""
 
 import math
 
@@ -9,15 +9,24 @@ import pytest
 
 from petalstar import (
     PRESETS,
+    ABCTriple,
     CaratheodoryPoint,
+    ExtremalSpec,
+    FunctionalId,
+    GridSpec,
     SchlichtSeries,
     Series,
     asinh_series,
     build_extremal,
     class_check,
+    disk_objective,
+    envelope_inner,
+    envelope_outer,
     hankel_det,
     inv_log_coeffs,
     log_coeffs,
+    maximize,
+    petal_map,
     preset,
     quad_disk_max_grid,
     rotate,
@@ -50,6 +59,18 @@ F0 = preset("f0", 10)
         "grid_radial", "grid_angular", "preset", "build_extremal", "from_tail",
         "asinh_k", "asinh_order", "from_dict_fraction", "from_dict_string"])
 def test_fractional_count_is_domain_violation(call, name):
+    with pytest.raises(DomainViolation, match=f"^{name} = "):
+        call()
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: ExtremalSpec(1.0, True), "power k"),
+    (lambda: class_check(F0, [0.5], angles=True), "angles"),
+    (lambda: maximize(FunctionalId.HANKEL_LOG, GridSpec(5, 3, 5, 0), seed=True), "seed"),
+    (lambda: GridSpec(zeta1_steps=False), "zeta1_steps"),
+], ids=["extremal_k", "class_check_angles", "maximize_seed", "grid_steps"])
+def test_bool_count_is_domain_violation(call, name):
+    # True is an int to operator.index, but not a count
     with pytest.raises(DomainViolation, match=f"^{name} = "):
         call()
 
@@ -98,6 +119,24 @@ def test_non_finite_series_is_domain_violation(call, index):
         "invlog_majorant_t_array"])
 def test_parameter_outside_domain_is_domain_violation(call, name):
     with pytest.raises(DomainViolation, match=f"^{name} "):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: disk_objective(ABCTriple(math.nan, 0.0, 0.0), 0.5),
+    lambda: disk_objective(ABCTriple(0.0, 0.0, math.inf), 0.5),
+    lambda: petal_map(math.nan),
+    lambda: petal_map(complex(0.0, math.inf)),
+    lambda: envelope_inner(math.nan),
+    lambda: envelope_inner(np.array([0.2, math.nan])),
+    lambda: envelope_outer(math.nan),
+    lambda: envelope_outer([0.5, -math.inf]),
+], ids=["disk_objective_nan", "disk_objective_inf", "petal_map_nan", "petal_map_inf",
+        "envelope_inner_nan", "envelope_inner_array", "envelope_outer_nan",
+        "envelope_outer_list"])
+def test_non_finite_parameter_is_domain_violation(call):
+    # these returned NaN
+    with pytest.raises(DomainViolation, match="not finite"):
         call()
 
 

@@ -65,6 +65,22 @@ def test_gridspec_validation():
             GridSpec(**{field: 2.5})
 
 
+def test_gridspec_caps_pass_size():
+    # a grid whose passes would bound or evaluate more than _MAX_PASS_POINTS
+    # points fails at construction, before any scan allocates them
+    cap = search._MAX_PASS_POINTS
+    for fields in ({"zeta1_steps": 10 ** 12}, {"zeta1_steps": cap // 41 + 1},
+                   {"angular_steps": cap // 41 + 1}, {"radial_steps": cap // 2 + 1},
+                   {"radial_steps": 10 ** 12, "zeta1_steps": 2, "angular_steps": 2}):
+        with pytest.raises(DomainViolation, match="at most"):
+            GridSpec(**fields)
+    # the default grid, the largest reference grid and grids at the cap pass
+    assert min(cap // 201 // 41, cap // 301 // 61) >= 50
+    for fields in ({}, {"zeta1_steps": 301, "radial_steps": 61, "angular_steps": 96},
+                   {"zeta1_steps": cap // 41, "angular_steps": cap // 41}):
+        GridSpec(**fields)
+
+
 @pytest.mark.parametrize("field", ["zeta1_steps", "radial_steps", "angular_steps",
                                    "refine_rounds"])
 def test_gridspec_numpy_counts(field):
@@ -144,6 +160,13 @@ def test_exact_zeta3_matches_oracles():
         assert len(reports) == 1
 
 
+def _columns(rows, x):
+    """The rows a scan's ``rows`` callable gives the points ``x``, of any
+    shape, as ``_scan`` hands them to an objective: shape ``(k,) + x.shape``."""
+    x = np.asarray(x, dtype=float)
+    return rows(x.ravel()).reshape((-1,) + x.shape)
+
+
 def _split_kernel(table):
     """``alpha + beta zeta3`` from the scans' table and beta, array-safe in
     all three parameters."""
@@ -173,14 +196,14 @@ _TOEPLITZ_CASES = [
 def test_exact_zeta3_elimination_pointwise(fid, kernel):
     # |alpha| + |beta| bounds a fine boundary zeta3 scan from above and is
     # attained at the reported unit-modulus zeta3
-    objective, _, depth, zeta3_at = _objective(fid, GridSpec(), "max", "exact")
+    rows, objective, _, depth, zeta3_at = _objective(fid, GridSpec(), "max", "exact")
     assert depth == 1
     circle = np.exp(2j * math.pi * np.arange(4096) / 4096)
     rng = np.random.default_rng(SEED + 42)
     for _ in range(200):
         z1 = float(rng.uniform())
         z2 = complex(math.sqrt(rng.uniform()) * np.exp(2j * math.pi * rng.uniform()))
-        exact = float(objective(np.asarray(z1), np.asarray(abs(z2)), np.asarray(z2)))
+        exact = float(objective(_columns(rows, z1), np.asarray(abs(z2)), np.asarray(z2)))
         sampled = float(np.abs(kernel(z1, z2, circle)).max())
         assert sampled <= exact + 1e-15
         assert exact - sampled <= 1e-6
@@ -202,14 +225,14 @@ def test_exact_zeta3_min_pointwise(fid, kernel):
     # max(|alpha| - |beta|, 0) lies below a fine disk zeta3 scan and is
     # attained at the reported zeta3; the Toeplitz forms are the beta = 0
     # case, whose minimum is |alpha| at every zeta3, and report none
-    objective, _, _, zeta3_at = _objective(fid, GridSpec(), "min", "exact")
+    rows, objective, _, _, zeta3_at = _objective(fid, GridSpec(), "min", "exact")
     assert (zeta3_at is None) == (fid in (FunctionalId.TOEPLITZ_LOG,
                                           FunctionalId.TOEPLITZ_INVLOG))
     disk = (np.linspace(0.0, 1.0, 257)[:, None]
             * np.exp(2j * math.pi * np.arange(256) / 256)).ravel()
     z1, r, z2 = _random_rings(SEED + 44, 40)
     x = search._FORMS[fid][2] * z1
-    least = -objective(x, r, z2)
+    least = -objective(_columns(rows, x), r, z2)
     for i, j in np.ndindex(z2.shape):
         sampled = float(np.abs(kernel(x[i, 0], z2[i, j], disk)).min())
         assert least[i, j] <= sampled + 1e-15
@@ -225,26 +248,27 @@ def test_zeta3_oracles_pointwise(fid, kernel):
     grid = GridSpec(radial_steps=5, angular_steps=32)
     z1, r, z2 = _random_rings(SEED + 45)
     for zeta3_mode in ("boundary", "disk"):
-        oracle, _, depth, _ = _objective(fid, grid, "max", zeta3_mode)
+        rows, oracle, _, depth, _ = _objective(fid, grid, "max", zeta3_mode)
         z3_grid = search._zeta3_grid(zeta3_mode, grid)
         assert depth == z3_grid.size
         want = np.abs(kernel(z1[..., None], z2[..., None], z3_grid)).max(axis=-1)
-        assert np.abs(oracle(z1, r, z2) - want).max() <= 1e-16
+        assert np.abs(oracle(_columns(rows, z1), r, z2) - want).max() <= 1e-16
 
 
-def _first_pass_and_random_points():
-    # the default grid's first pass as broadcast blocks, and 1e5 seeded
-    # random points of the domain as flat arrays
+def _first_pass_and_random_rings():
+    # the default grid's first pass, and 1e5 seeded random points of the
+    # domain, one on each of 500 x 200 random rings: each as the x axis, the
+    # radii and the points, of shape (x, r, angle), broadcast
     grid = GridSpec()
     r = np.linspace(0.0, 1.0, grid.radial_steps)
     t = np.linspace(0.0, 2.0 * math.pi, grid.angular_steps, endpoint=False)
-    z1 = np.linspace(0.0, 1.0, grid.zeta1_steps)[:, None, None]
+    z1 = np.linspace(0.0, 1.0, grid.zeta1_steps)
     z2 = (r[:, None] * np.exp(1j * t)[None, :])[None, :, :]
     rng = np.random.default_rng(SEED + 43)
-    n = 10 ** 5
-    rz1 = rng.uniform(size=n)
-    rz2 = np.sqrt(rng.uniform(size=n)) * np.exp(2j * math.pi * rng.uniform(size=n))
-    return [(z1, r[None, :, None], z2), (rz1, np.abs(rz2), rz2)]
+    rz1 = rng.uniform(size=500)
+    rr = np.sqrt(rng.uniform(size=200))
+    rz2 = rr[None, :, None] * np.exp(2j * math.pi * rng.uniform(size=(500, 200, 1)))
+    return [(z1, r, z2), (rz1, rr, rz2)]
 
 
 def _hankel_log_zeta(z1, z2, z3):
@@ -288,14 +312,16 @@ def test_ring_bound_sound(monkeypatch, fid, kernel):
     # at every point of its ring, and the margin exceeds the largest shortfall
     # of the bare bound at least 100-fold
     margin = search._BOUND_MARGIN
-    bound = _objective(fid, GridSpec(), "max", "exact")[1]
+    rows, _, bound, _, _ = _objective(fid, GridSpec(), "max", "exact")
     shortfall = 0.0
-    for z1, r, z2 in _first_pass_and_random_points():
-        alpha = kernel(z1, z2, 0.0)
-        reference = np.abs(alpha) + np.abs(kernel(z1, z2, 1.0) - alpha)
-        assert np.all(bound(z1, r) >= reference)
+    for z1, r, z2 in _first_pass_and_random_rings():
+        alpha = kernel(z1[:, None, None], z2, 0.0)
+        beta = kernel(z1[:, None, None], z2, 1.0) - alpha
+        reference = (np.abs(alpha) + np.abs(beta)).max(axis=-1)
+        p = rows(z1)[:, :, None]
+        assert np.all(bound(p, r) >= reference)
         monkeypatch.setattr(search, "_BOUND_MARGIN", 0.0)
-        shortfall = max(shortfall, float((reference - bound(z1, r)).max()))
+        shortfall = max(shortfall, float((reference - bound(p, r)).max()))
         monkeypatch.setattr(search, "_BOUND_MARGIN", margin)
     assert margin >= 100.0 * shortfall
 
@@ -317,6 +343,9 @@ _REFERENCE_GRIDS = {
     "41x16x24x2": GridSpec(41, 16, 24, 2),
     "37x13x11x2x0.45": GridSpec(37, 13, 11, 2, 0.45),
     "11x7x12x0": GridSpec(11, 7, 12, 0),
+    "150x33x50x5x0.6": GridSpec(150, 33, 50, 5, 0.6),
+    "3x2x2x6x0.9": GridSpec(3, 2, 2, 6, 0.9),
+    "301x61x96x2": GridSpec(301, 61, 96, 2),
 }
 
 
@@ -331,7 +360,10 @@ def test_reports_match_reference(key):
     # disk zeta3 oracle reports from the scan core that blocked every pass;
     # the hankel-invlog max and oracle reports whose argmax lies on the
     # zeta1 = 1 face, and the log max report on (37, 13, 11, 2, 0.45), were
-    # re-recorded when the scans moved to the real coefficient forms
+    # re-recorded when the scans moved to the real coefficient forms; the
+    # reports on (150, 33, 50, 5, 0.6), (3, 2, 2, 6, 0.9) and (301, 61, 96,
+    # 2) are those of the scan core that evaluated the coefficient table on
+    # the gathered rings, before each pass evaluated it once on its x axis
     mode, grid_name, fid = key.split("/")
     grid = _REFERENCE_GRIDS[grid_name]
     if mode == "min":
@@ -363,25 +395,33 @@ def test_pruning_invariance(monkeypatch, grid_name):
     pruned = reports()
     scan = search._scan
 
-    def unpruned(objective, _bound, x_hi, grid):
-        return scan(objective, search._unbounded, x_hi, grid)
+    def unpruned(rows, objective, _bound, x_hi, grid):
+        return scan(rows, objective, search._unbounded, x_hi, grid)
 
     monkeypatch.setattr(search, "_scan", unpruned)
     assert reports() == pruned
 
 
+def _x_rows(x):
+    """The rows of a hand-written objective and bound: the ``x`` axis alone,
+    which they read back as ``x = p[0]``."""
+    return x[None]
+
+
 def test_pruning_keeps_earlier_ties():
     # a loose bound ties the seed value at rings before the seed ring (the
     # last one); the first of them holds the first maximum in C order
-    def objective(x, r, _z):
+    def objective(p, r, _z):
+        x = p[0]
         return np.where((r == 1.0) & (x != 0.5), 1.0, 0.0)
 
-    def bound(x, r):
+    def bound(p, r):
+        x = p[0]
         return (r == 1.0) * np.where(x == 1.0, 2.0, 1.0)
 
     grid = GridSpec(zeta1_steps=3, radial_steps=2, angular_steps=2, refine_rounds=0)
-    pruned = search._scan(objective, bound, 1.0, grid)
-    unpruned = search._scan(objective, search._unbounded, 1.0, grid)
+    pruned = search._scan(_x_rows, objective, bound, 1.0, grid)
+    unpruned = search._scan(_x_rows, objective, search._unbounded, 1.0, grid)
     assert pruned == unpruned == (1.0, (0.0, 1.0), 12)
 
 
@@ -390,52 +430,55 @@ def test_pruning_refine_tie_keeps_incumbent():
     # a ring (0.85, 1) before it in C order with the same value.  A tight
     # bound prunes that ring, a loose one evaluates it; neither replaces the
     # incumbent, as an unpruned pass would not
-    def objective(x, r, _z):
+    def objective(p, r, _z):
+        x = p[0]
         return np.where((r == 1.0) & (x >= 0.8), 1.0, 0.0)
 
     grid = GridSpec(zeta1_steps=3, radial_steps=2, angular_steps=2, refine_rounds=1)
     want = (1.0, (1.0, 1.0 + 0.0j), 24)
     for height in (1.0, 2.0, math.inf):
-        def bound(x, r):
+        def bound(p, r):
             return np.where(r == 1.0, height, 0.0)
-        assert search._scan(objective, bound, 1.0, grid) == want
+        assert search._scan(_x_rows, objective, bound, 1.0, grid) == want
 
 
 def test_self_bounded_refine_beats_first_pass():
     # an objective that is its own bound is read off the bound in every
     # pass; a refine pass here finds a larger value than the first pass, and
     # the scan matches one that evaluates every ring
-    def peak(x, r, _z=None):
+    def peak(p, r, _z=None):
+        x = p[0]
         return -((x - 0.37) ** 2) - (r - 0.61) ** 2
 
     grid = GridSpec(zeta1_steps=5, radial_steps=4, angular_steps=3, refine_rounds=2)
-    first = search._scan(peak, peak, 1.0, dataclasses.replace(grid, refine_rounds=0))
-    got = search._scan(peak, peak, 1.0, grid)
+    first = search._scan(_x_rows, peak, peak, 1.0,
+                         dataclasses.replace(grid, refine_rounds=0))
+    got = search._scan(_x_rows, peak, peak, 1.0, grid)
     assert got[0] > first[0]
-    assert got == search._scan(peak, search._unbounded, 1.0, grid)
+    assert got == search._scan(_x_rows, peak, search._unbounded, 1.0, grid)
 
 
 def _count_passes(monkeypatch):
-    """Record each scan pass, opened by its ring-bound call, as the list of
-    the ring counts its objective calls take."""
+    """Record each scan pass, opened by its rows call, as the list of the
+    ring counts its objective calls take."""
     passes = []
     build = search._objective
 
-    def counted(fn):
-        def wrapper(*args):
-            # the bound takes (x, r), the objective (x, r, zeta)
-            if len(args) == 2:
-                passes.append([])
-            else:
-                passes[-1].append(len(args[0]))
-            return fn(*args)
-        return wrapper
-
     def objective(*args):
-        fn, bound, depth, zeta3_at = build(*args)
-        wrapped = counted(fn)
+        rows, fn, bound, depth, zeta3_at = build(*args)
+
+        def opened(x):
+            passes.append([])
+            return rows(x)
+
+        def counted(p, r, *zeta):
+            # the bound takes (p, r), the objective (p, r, zeta)
+            if zeta:
+                passes[-1].append(len(r))
+            return fn(p, r, *zeta)
+
         # an objective that is its own bound stays one callable
-        return wrapped, wrapped if fn is bound else counted(bound), depth, zeta3_at
+        return opened, counted, counted if fn is bound else bound, depth, zeta3_at
 
     monkeypatch.setattr(search, "_objective", objective)
     return passes
@@ -444,10 +487,11 @@ def _count_passes(monkeypatch):
 @pytest.mark.parametrize("grid", [COARSE, GridSpec()], ids=["coarse", "default"])
 def test_scan_objective_calls(monkeypatch, grid):
     # the first pass calls the objective at most twice (seed ring, then the
-    # kept rings unless the seed ring is the only one), a refine pass at
-    # most once, never on an empty ring set; the Toeplitz max majorant is
-    # its own bound and is never called
+    # other kept rings), a refine pass at most once, never on an empty ring
+    # set; the Toeplitz max majorant is its own bound and is never called,
+    # and the four max scans of a certify op make at most 9 calls in all
     passes = _count_passes(monkeypatch)
+    max_calls = 0
     for fid in FunctionalId:
         for scan in (maximize, minimize_modulus):
             passes.clear()
@@ -457,6 +501,74 @@ def test_scan_objective_calls(monkeypatch, grid):
             assert all(m >= 1 for p in passes for m in p)
             if scan is maximize and fid.value.startswith("toeplitz"):
                 assert not any(passes)
+            if scan is maximize:
+                max_calls += sum(map(len, passes))
+    assert max_calls <= 9
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("mode", ["max", "min"])
+def test_pass_rows_bit_equal(monkeypatch, mode):
+    # on the default grid's first pass and every refine window, each pass's
+    # axis is np.linspace's, its rows are cth._coeffs of its table (the
+    # majorant's absolute-value table for a Toeplitz max), and the Hankel
+    # rows' beta factor gives the closed-form beta of the old kernels
+    build = search._objective
+    seen = []
+
+    def objective(*args):
+        rows, *rest = build(*args)
+
+        def recorded(x):
+            seen.append((x, rows(x)))
+            return seen[-1][1]
+        return (recorded, *rest)
+
+    monkeypatch.setattr(search, "_objective", objective)
+    grid = GridSpec()
+    r = np.linspace(0.0, 1.0, grid.radial_steps)[None, :]
+    for fid in FunctionalId:
+        seen.clear()
+        (maximize if mode == "max" else minimize_modulus)(fid, grid)
+        assert len(seen) == grid.refine_rounds + 1
+        table = search._FORMS[fid][0]
+        hankel = fid.value.startswith("hankel")
+        if mode == "max" and not hankel:
+            table = cth._abs_table(table)
+        for x, p in seen:
+            assert _bits(x) == _bits(np.linspace(x[0], x[-1], grid.zeta1_steps))
+            assert p.shape == (4 if hankel else 3, grid.zeta1_steps)
+            assert _bits(p[:3]) == _bits(cth._coeffs(table, x))
+            if hankel:
+                z1 = x[:, None]
+                want = 12.0 * z1 * (1.0 - z1 * z1) * ((1.0 - r * r) / 144.0)
+                assert _bits(p[3][:, None] * cth._beta_r(r)) == _bits(want)
+
+
+_RNG_WINDOWS = np.random.default_rng(SEED + 49)
+
+
+@pytest.mark.parametrize("lo, hi, num, endpoint", [
+    (0.0, 1.0, 201, True),
+    (0.0, 2.0, 201, True),
+    (0.0, 1.0, 41, True),
+    (0.0, 2.0 * math.pi, 64, False),
+    (5.9, 6.8, 64, True),
+    (-0.4, 0.5, 96, True),
+    (0.3, 0.3000000000000001, 41, True),
+    (0.7, 0.7, 5, True),
+    (0.0, 40 * 5e-324, 201, True),  # the step underflows to 0
+    (0.0, 1e-300, 3, False),
+    (1.0, 0.0, 2, True),
+] + [(*sorted(_RNG_WINDOWS.uniform(-7.0, 7.0, size=2)), int(_RNG_WINDOWS.integers(2, 300)),
+      bool(_RNG_WINDOWS.integers(2))) for _ in range(40)])
+def test_axis_is_linspace(lo, hi, num, endpoint):
+    ramp = np.arange(num, dtype=float)
+    assert (_bits(search._axis(ramp, lo, hi, endpoint))
+            == _bits(np.linspace(lo, hi, num, endpoint=endpoint)))
 
 
 @pytest.mark.parametrize("call, name", [
@@ -500,6 +612,15 @@ def test_toeplitz_argmax_consistency():
         assert rep.objective == "majorant"
         assert abs(majorant(p1, abs(z)) - rep.observed_max) <= 1e-12
         assert abs(reduced(p1, z)) <= rep.observed_max + 1e-12
+
+
+@pytest.mark.parametrize("majorant", [toeplitz_log_majorant, toeplitz_invlog_majorant])
+def test_majorants_take_sequences(majorant):
+    # a list, a tuple or a Python number gives the array's values bit for bit
+    p1, t = [0.0, 0.5, 2.0], (0.5, 1.0, 0.25)
+    assert _bits(majorant(p1, t)) == _bits(majorant(np.array(p1), np.array(t)))
+    assert _bits(majorant([0.0, 2.0], [0.5])) == _bits(majorant(np.array([0.0, 2.0]), 0.5))
+    assert majorant(2, 1) == majorant(2.0, 1.0)
 
 
 def test_majorants_dominate_modulus():
