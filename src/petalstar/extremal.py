@@ -36,7 +36,6 @@ from .series import (
     SchlichtSeries,
     Series,
     asinh_series,
-    differentiate,
     exp_series,
     integrate_over_t,
 )
@@ -86,8 +85,7 @@ def build_extremal(spec: ExtremalSpec, order: int = DEFAULT_ORDER) -> SchlichtSe
         raise DomainViolation("order must be >= 1")
     try:
         inner = integrate_over_t(asinh_series(spec.c, spec.k, order - 1))
-        with np.errstate(over="ignore", invalid="ignore"):
-            outer = exp_series(inner)
+        outer = exp_series(inner)
     except (OverflowError, DomainViolation):
         # c is finite, so a non-finite coefficient here is an overflow
         raise DomainViolation(f"c = {spec.c} overflows the series to order {order}") from None
@@ -169,12 +167,21 @@ def class_check(f: SchlichtSeries, radii, angles: int = 64) -> ClassCheckReport:
         raise DomainViolation("need at least one angle")
 
     t = np.linspace(0.0, 2.0 * np.pi, angles, endpoint=False)
-    z = (radii[:, None] * np.exp(1j * t)).ravel()
-    fz = f(z)
+    turn = np.exp(1j * t)
+    z = (radii[:, None] * turn).ravel()
+    # at z = r e^{it}, f(z) and z f'(z) sum (c_n r^n, n c_n r^n) e^{int} over n:
+    # one table of powers e^{int} times one column per radius and sum
+    n = np.arange(f.order + 1)
+    turns = np.empty((angles, n.size), dtype=complex)
+    turns[:, 0] = 1.0
+    turns[:, 1:] = turn[:, None]
+    np.cumprod(turns, axis=1, out=turns)
+    scaled = f.coeffs[:, None] * radii ** n[:, None]
+    fz, zdf = (turns @ np.hstack((scaled, n[:, None] * scaled))).T.reshape(2, z.size)
     singular = np.abs(fz) < _SAMPLE_EPS
     if singular.any():
         raise SingularSample(f"|f(z)| < {_SAMPLE_EPS} at z = {z[singular.argmax()]}")
-    q = z * differentiate(f)(z) / fz
+    q = zdf / fz
     margin = 1.0 - np.abs(np.sinh(q - 1.0))
     worst = int(margin.argmin())
     rmax = float(radii.max())

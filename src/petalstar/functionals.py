@@ -4,7 +4,8 @@ Conventions
 -----------
 Logarithmic coefficients of a normalized ``f`` are half the Taylor
 coefficients of ``log(f(z)/z)``; those of the inverse are half the
-coefficients of ``log(F(w)/w)`` where ``F`` is the compositional inverse.
+coefficients of ``log(F(w)/w)`` where ``F`` is the compositional inverse,
+read off the powers of ``z / f(z)`` without forming ``F``.
 Coefficient sequences returned here are indexed so that ``seq[n]`` holds the
 ``n``-th coefficient, with ``seq[0] = 0`` (the constant term of the log is
 identically zero).  That convention makes the determinant helpers read like
@@ -22,8 +23,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainViolation, IndexOutOfRange, InsufficientOrder, _count
-from .series import SchlichtSeries, Series, log_over_z, revert, rotate
+from .errors import (
+    DomainViolation,
+    IndexOutOfRange,
+    InsufficientOrder,
+    NotInvertibleAtOrigin,
+    NotNormalized,
+    _count,
+)
+from .series import _NORM_TOL, SchlichtSeries, Series, _lagrange, log_over_z, rotate
 
 __all__ = [
     "log_coeffs",
@@ -79,11 +87,21 @@ def log_coeffs_closed(f: SchlichtSeries) -> np.ndarray:
 def inv_log_coeffs(f: SchlichtSeries, m: int) -> np.ndarray:
     """First ``m`` logarithmic coefficients of the inverse of ``f``.
 
-    Computed from the definition: the logarithmic coefficients of the
-    reverted series.  Indexing as in :func:`log_coeffs`.
+    The inverse ``F`` is never formed: by Lagrange-Buermann,
+    ``Gamma_n = [z^n] (z / f(z))^n / (2 n)`` (Ponnusamy, Sharma & Wirths,
+    Results Math. 73, 2018), one power of ``z / f(z)`` per coefficient.
+    Indexing as in :func:`log_coeffs`.  ``f`` must be normalized, as
+    :func:`log_coeffs` requires of ``F``.
     """
     _require_count(f, m, f"inv_log_coeffs(m={m})")
-    return log_coeffs(revert(f), m)
+    c = f.coeffs
+    if c[0] != 0 or c[1] == 0:
+        raise NotInvertibleAtOrigin("the inverse needs c0 = 0 and c1 != 0")
+    if abs(1.0 / c[1] - 1.0) > _NORM_TOL:
+        raise NotNormalized("inv_log_coeffs needs c1 = 1")
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo = _lagrange(c, m, 1)  # log(c1 F(w) / w)
+    return Series(np.concatenate(([0j], lo))).coeffs / 2.0
 
 
 def inv_log_coeffs_closed(f: SchlichtSeries) -> np.ndarray:
@@ -98,19 +116,28 @@ def inv_log_coeffs_closed(f: SchlichtSeries) -> np.ndarray:
 
 def _det(entries, q: int, n: int, offset, span: int) -> complex:
     """Both determinants: entry ``(i, j)`` is ``entries[n + offset(i, j)]``,
-    at most ``entries[n + span]``; only ``q >= 3`` builds an index matrix."""
+    at most ``entries[n + span]``; only ``q >= 3`` builds an index matrix.
+    Non-finite entries, or a determinant that overflows, raise
+    :class:`DomainViolation`."""
     e = np.asarray(entries, dtype=complex)
     if _count(q, "q") < 1 or _count(n, "n") < 0:
         raise IndexOutOfRange("need q >= 1 and n >= 0")
     top = n + span
     if e.size <= top:
         raise IndexOutOfRange(f"entries must be indexable up to {top}, got length {e.size}")
-    if q == 1:
-        return complex(e[n])
-    if q == 2:
-        return complex(e[n] * e[n + offset(1, 1)] - e[n + offset(0, 1)] ** 2)
-    k = np.arange(q)
-    return complex(np.linalg.det(e[n + offset(k[:, None], k[None, :])]))
+    if not np.isfinite(e).all():
+        raise DomainViolation("determinant entries must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if q == 1:
+            d = e[n]
+        elif q == 2:
+            d = e[n] * e[n + offset(1, 1)] - e[n + offset(0, 1)] ** 2
+        else:
+            k = np.arange(q)
+            d = np.linalg.det(e[n + offset(k[:, None], k[None, :])])
+    if not np.isfinite(d):
+        raise DomainViolation(f"the q = {q} determinant overflows")
+    return complex(d)
 
 
 def hankel_det(entries, q: int, n: int) -> complex:

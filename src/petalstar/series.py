@@ -9,8 +9,16 @@ workers.
 Binary operations truncate to the smaller operand order.  Composition and
 reversion are exact at the truncation order: the first ``N`` coefficients of
 the result equal those of the exact (untruncated) operation.  Composition is
-Horner's scheme in the outer series; reversion is Lagrange inversion, which
-reads each coefficient of the inverse off a power of ``z / f(z)``.
+Horner's scheme in the outer series.  Division multiplies by a reciprocal
+from Newton's iteration ``r <- r (2 - b r)``, which doubles the number of
+correct terms at each step (Brent & Kung, J. ACM 25, 1978), so a quotient of
+order ``N`` takes about ``log2 N`` convolutions.  Reversion and the
+logarithmic coefficients of the inverse both read the powers of
+``z / f(z)`` off one Lagrange loop, one matrix-vector product per power.
+
+The kernels ignore floating-point overflow while they run: a coefficient
+that overflows makes the result non-finite, and the :class:`Series` it is
+returned in raises :class:`DomainViolation`.
 """
 
 from __future__ import annotations
@@ -165,10 +173,8 @@ class Series:
             raise ZeroConstantTerm(
                 f"divisor constant term {b[0]!r} is below {DIV_EPSILON}"
             )
-        a = self.coeffs
-        q = np.zeros(n + 1, dtype=complex)
-        for k in range(n + 1):
-            q[k] = (a[k] - np.dot(q[:k], b[k:0:-1])) / b[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = np.convolve(self.coeffs[: n + 1], _reciprocal(b, n))[: n + 1]
         return Series(q)
 
     # -- serialization -------------------------------------------------------
@@ -221,6 +227,49 @@ class SchlichtSeries(Series):
         return cls(c)
 
 
+# -- array kernels ------------------------------------------------------------
+
+
+def _reciprocal(b: np.ndarray, n: int) -> np.ndarray:
+    """Coefficients ``0 .. n`` of ``1 / b`` for ``b[0] != 0``.
+
+    Newton's iteration ``r <- r (2 - b r)``: if ``r`` is correct to ``k``
+    terms, ``b r = 1 + z^k e`` and ``r - z^k r e`` is correct to ``2 k``.
+    Terms already correct are kept; each step appends the new ones.
+    """
+    r = np.array([1.0 / b[0]], dtype=complex)
+    while r.size <= n:
+        k, m = r.size, min(2 * r.size, n + 1)
+        e = np.convolve(b[:m], r)[k:m]
+        r = np.concatenate((r, -np.convolve(r[: m - k], e)[: m - k]))
+    return r
+
+
+def _lagrange(f: np.ndarray, n: int, s: int) -> np.ndarray:
+    """``[w^(k-1+s)] u^k / (k c1^k)`` for ``k = 1 .. n`` and
+    ``u = c1 w / f(w)``, from ``f``'s coefficients ``c0 = 0, c1 != 0, ..``
+    through ``c(n+s)``.
+
+    ``s = 0`` gives the coefficients ``F_k`` of the inverse ``F`` of ``f``
+    (Lagrange inversion); ``s = 1`` those of ``log(c1 F(w) / w)``
+    (Lagrange-Buermann).  Row ``k`` of the power table is ``u^k``
+    truncated, one product with the lower-triangular Toeplitz matrix of
+    ``u`` (a truncated convolution) from row ``k - 1``.
+    """
+    c1, size = f[1], n + s
+    u = _reciprocal(f[1:] / c1, size - 1)
+    i = np.arange(size)
+    # entry (i, j) is u[i - j], 0 above the diagonal
+    padded = np.concatenate((np.zeros(size - 1, dtype=complex), u))
+    times_u = padded[i[:, None] - i + size - 1]
+    powers = np.zeros((n + 1, size), dtype=complex)
+    powers[0, 0] = 1.0
+    for k in range(n):
+        np.dot(times_u, powers[k], out=powers[k + 1])
+    k = np.arange(1, n + 1)
+    return powers[k, k - 1 + s] / (k * c1 ** k)
+
+
 # -- calculus helpers ---------------------------------------------------------
 
 
@@ -253,18 +302,13 @@ def revert(f: Series) -> Series:
     """Compositional inverse ``F`` with ``compose(f, F) = z`` up to order.
 
     Lagrange inversion: ``F_n = [w^(n-1)] u^n / (n c1^n)`` for the powers
-    of ``u = c1 w / f(w)``, each one truncated convolution from the last.
+    of ``u = c1 w / f(w)``.
     """
     if f.order < 1 or f.coeffs[0] != 0 or f.coeffs[1] == 0:
         raise NotInvertibleAtOrigin("reversion needs c0 = 0 and c1 != 0")
-    n, c1 = f.order, f.coeffs[1]
-    u = (Series.one(n - 1) / Series(f.coeffs[1:] / c1)).coeffs
-    inv = np.zeros(n + 1, dtype=complex)
-    power = np.ones(1, dtype=complex)
-    for k in range(1, n + 1):
-        power = np.convolve(power, u)[:n]
-        inv[k] = power[k - 1] / (k * c1 ** k)
-    return Series(inv)
+    with np.errstate(over="ignore", invalid="ignore"):
+        inv = _lagrange(f.coeffs, f.order, 0)
+    return Series(np.concatenate(([0j], inv)))
 
 
 def log_over_z(f: Series) -> Series:
@@ -274,9 +318,14 @@ def log_over_z(f: Series) -> Series:
     """
     if f.order < 1 or abs(f.coeffs[0]) > _NORM_TOL or abs(f.coeffs[1] - 1) > _NORM_TOL:
         raise NotNormalized("log_over_z needs c0 = 0 and c1 = 1")
-    g = Series(f.coeffs[1:])  # f / z, constant term 1
-    d = differentiate(g) / g  # (log g)' to order g.order - 1
-    return integrate_over_t(Series(np.concatenate(([0j], d.coeffs))))
+    g = f.coeffs[1:]  # f / z, constant term 1
+    # (log g)' = g' / g with g' as differentiate and the quotient as division
+    # give them, bit for bit; then integrate term by term
+    dg = g[1:] * np.arange(1, g.size) if g.size > 1 else np.zeros(1, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = np.convolve(dg, _reciprocal(g, dg.size - 1))[: dg.size]
+        d /= np.arange(1, d.size + 1)
+    return Series(np.concatenate(([0j], d)))
 
 
 def exp_series(f: Series) -> Series:
@@ -287,9 +336,10 @@ def exp_series(f: Series) -> Series:
     out = np.zeros(n + 1, dtype=complex)
     out[0] = 1.0
     # E' = E f'  =>  k E_k = sum_{j=1..k} j f_j E_{k-j}
-    for k in range(1, n + 1):
-        j = np.arange(1, k + 1)
-        out[k] = np.dot(j * f.coeffs[1 : k + 1], out[k - 1 :: -1][: k]) / k
+    with np.errstate(over="ignore", invalid="ignore"):
+        jf = np.arange(1, n + 1) * f.coeffs[1:]
+        for k in range(1, n + 1):
+            out[k] = np.dot(jf[:k], out[k - 1 :: -1]) / k
     return Series(out)
 
 

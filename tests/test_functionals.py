@@ -6,6 +6,7 @@ import pytest
 from conftest import SEED, random_schlicht
 from petalstar import (
     SchlichtSeries,
+    Series,
     hankel2_invlog,
     hankel2_log,
     hankel_det,
@@ -14,11 +15,18 @@ from petalstar import (
     log_coeffs,
     log_coeffs_closed,
     preset,
+    revert,
     toeplitz2_invlog,
     toeplitz2_log,
     toeplitz_det,
 )
-from petalstar.errors import DomainViolation, IndexOutOfRange, InsufficientOrder
+from petalstar.errors import (
+    DomainViolation,
+    IndexOutOfRange,
+    InsufficientOrder,
+    NotInvertibleAtOrigin,
+    NotNormalized,
+)
 
 F0 = preset("f0", 8)
 F1 = preset("f1", 8)
@@ -98,6 +106,42 @@ def test_coeff_functions_require_order():
         assert coeffs(F0, 0).tolist() == [0.0]
 
 
+def test_inv_log_coeffs_match_reversion_path():
+    # Lagrange-Buermann against the definition: the log coefficients of the
+    # reverted series, relative to the largest coefficient
+    rng = np.random.default_rng(SEED + 15)
+    series = [random_schlicht(rng, int(rng.integers(2, 41))) for _ in range(40)]
+    series += [preset(name, 40) for name in ("f0", "f1", "f2", "f3", "f4")]
+    for f in series:
+        m = f.order - 1
+        want = log_coeffs(revert(f), m)
+        got = inv_log_coeffs(f, m)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("coeffs", [log_coeffs, inv_log_coeffs], ids=["log", "inv_log"])
+def test_log_coeffs_overflow_raises_domain_violation_only(coeffs):
+    # under the suite's warnings-as-errors, a RuntimeWarning would fail here
+    with pytest.raises(DomainViolation):
+        coeffs(SchlichtSeries([0, 1, 1e200, 1e200, 0]), 3)
+
+
+@pytest.mark.parametrize("f, m, error", [
+    (Series([1, 1, 0, 0]), 2, NotInvertibleAtOrigin),
+    (Series([0, 0, 1, 0]), 2, NotInvertibleAtOrigin),
+    (Series([0, 2, 1, 1, 0]), 3, NotNormalized),
+    (Series([1, 1, 0]), 5, InsufficientOrder),  # the order is checked first
+    (F0, 8, InsufficientOrder),
+    (F0, -3, DomainViolation),
+    (F0, 2.5, DomainViolation),
+    (F0, True, DomainViolation),
+], ids=["c0", "c1_zero", "c1_two", "short_before_c0", "m_too_high", "m_negative",
+        "m_fractional", "m_bool"])
+def test_inv_log_coeffs_error_classes(f, m, error):
+    with pytest.raises(error):
+        inv_log_coeffs(f, m)
+
+
 # -- generic determinants --------------------------------------------------------
 
 
@@ -153,6 +197,17 @@ def test_toeplitz_det_orders():
 def test_det_validation(det, entries, q, n):
     with pytest.raises(IndexOutOfRange):
         det(entries, q, n)
+
+
+@pytest.mark.parametrize("det, entries, q", [
+    (hankel_det, [0, np.nan, 1, 1], 2),
+    (toeplitz_det, [0, np.nan, 1, 1], 2),
+    (hankel_det, [0, 1, 2, np.inf, 1, 1], 3),  # the LU path
+    (hankel_det, [0, 1e200, 1e200, 1e200], 2),  # finite entries, overflowing product
+], ids=["hankel_nan", "toeplitz_nan", "hankel_inf_lu", "hankel_overflow"])
+def test_det_non_finite_raises(det, entries, q):
+    with pytest.raises(DomainViolation):
+        det(entries, q, 1)
 
 
 # -- the four closed-form functionals ---------------------------------------------

@@ -9,6 +9,7 @@ from conftest import SEED, random_schlicht, residual
 from petalstar import SchlichtSeries, Series, asinh_series, compose, differentiate
 from petalstar import exp_series, integrate_over_t, log_over_z, revert, rotate
 from petalstar.errors import (
+    DomainViolation,
     NonzeroConstant,
     NonzeroInnerConstant,
     NotInvertibleAtOrigin,
@@ -94,6 +95,31 @@ def test_div_multiply_back():
 def test_div_zero_constant_term_raises():
     with pytest.raises(ZeroConstantTerm):
         Series.one(3) / S(0, 1, 0, 0)
+
+
+def divide_forward(a, b, n):
+    """The quotient ``a / b`` to order ``n`` by forward substitution, one
+    coefficient per step."""
+    q = np.zeros(n + 1, dtype=complex)
+    for k in range(n + 1):
+        q[k] = (a[k] - np.dot(q[:k], b[k:0:-1])) / b[0]
+    return q
+
+
+def test_div_matches_forward_substitution():
+    # Newton's reciprocal rounds differently from the substitution loop, so
+    # the two agree to rounding relative to the largest coefficient, also for
+    # divisors whose coefficients grow like 4^k up to order 40
+    rng = np.random.default_rng(SEED + 20)
+    for growth in (0.5, 1.0, 4.0):
+        for order in range(41):
+            a = rng.standard_normal(order + 1) + 1j * rng.standard_normal(order + 1)
+            b = rng.standard_normal(order + 1) + 1j * rng.standard_normal(order + 1)
+            b = b * growth ** np.arange(order + 1)
+            b[0] = 1.0 + rng.uniform()
+            want = divide_forward(a, b, order)
+            got = (Series(a) / Series(b)).coeffs
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 # -- compose / revert ----------------------------------------------------------
@@ -216,6 +242,37 @@ def test_exp_log_roundtrip_random():
 def test_exp_series_rejects_constant():
     with pytest.raises(NonzeroConstant):
         exp_series(S(1, 1))
+
+
+def test_exp_series_matches_coefficient_loop():
+    # the recurrence k E_k = sum_j j f_j E_(k-j), one weight vector per k:
+    # exp_series computes the weights once and must agree byte for byte
+    def exp_loop(f):
+        out = np.zeros(f.order + 1, dtype=complex)
+        out[0] = 1.0
+        for k in range(1, f.order + 1):
+            j = np.arange(1, k + 1)
+            out[k] = np.dot(j * f.coeffs[1 : k + 1], out[k - 1 :: -1][:k]) / k
+        return out
+
+    rng = np.random.default_rng(SEED + 21)
+    for order in range(41):
+        f = Series(np.concatenate(([0j], rng.standard_normal(order)
+                                   + 1j * rng.standard_normal(order))))
+        assert exp_series(f).coeffs.tobytes() == exp_loop(f).tobytes()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: exp_series(S(0, 1e200, 0, 0)),
+    lambda: revert(S(0, 1e-200, 1, 1)),
+    lambda: Series.one(3) / S(1, 1e200, 0, 0),
+    lambda: log_over_z(SchlichtSeries([0, 1, 1e200, 1e200, 0])),
+], ids=["exp_series", "revert", "division", "log_over_z"])
+def test_overflow_raises_domain_violation_only(call):
+    # the suite turns warnings into errors, so an overflow warning printed on
+    # the way to the DomainViolation would fail here
+    with pytest.raises(DomainViolation):
+        call()
 
 
 def test_array_kernels_match_coefficient_loops():
