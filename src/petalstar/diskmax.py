@@ -22,7 +22,7 @@ from functools import lru_cache, wraps
 
 import numpy as np
 
-from .errors import DomainViolation, _count
+from .errors import _MAX_POINTS, DomainViolation, _count
 
 __all__ = ["quad_disk_max", "quad_disk_max_grid"]
 
@@ -100,9 +100,11 @@ def quad_disk_max_grid(a: float, b: float, c: float,
                        radial: int = 600, angular: int = 600) -> float:
     """Grid oracle: maximum of the objective over an ``radial x angular``
     polar grid of the closed disk (radii include 0 and 1).  The coefficients
-    must be real."""
-    if _count(radial, "radial") < 2 or _count(angular, "angular") < 4:
-        raise DomainViolation("grid needs radial >= 2 and angular >= 4")
+    must be real, and ``radial * angular`` at most ``_MAX_POINTS``."""
+    radial, angular = _count(radial, "radial"), _count(angular, "angular")
+    if radial < 2 or angular < 4 or radial * angular > _MAX_POINTS:
+        raise DomainViolation(f"grid needs radial >= 2, angular >= 4 and radial * angular "
+                              f"at most {_MAX_POINTS}")
     z, z2, weight = _polar_grid(radial, angular)
     best = -np.inf
     with np.errstate(over="ignore"):  # only the sums overflow, to inf

@@ -1,5 +1,5 @@
-"""Exception types raised across the package, and the count check that
-raises one."""
+"""Exception types raised across the package, and the count check and
+size cap that raise one."""
 
 import operator
 
@@ -38,6 +38,11 @@ class IndexOutOfRange(PetalstarError):
 
 class DomainViolation(PetalstarError):
     """Parameter outside its documented domain."""
+
+
+#: Cap on the entries of any one grid or table that count arguments size:
+#: a scan pass's rings or points, a ``class_check`` table, the disk oracle.
+_MAX_POINTS = 10 ** 6
 
 
 def _count(value, name: str) -> int:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainViolation, SingularSample, _count
+from .errors import _MAX_POINTS, DomainViolation, SingularSample, _count
 from .series import (
     DEFAULT_ORDER,
     SchlichtSeries,
@@ -158,13 +158,18 @@ def class_check(f: SchlichtSeries, radii, angles: int = 64) -> ClassCheckReport:
 
     This is heuristic evidence, not proof: both the truncation order of
     ``f`` and the sampling radii are caller choices, and the report carries
-    the truncation tail estimate as a caveat.
+    the truncation tail estimate as a caveat.  No two of ``angles``, the
+    radii count and ``order + 1`` may multiply to over ``_MAX_POINTS``.
     """
     radii = np.asarray(radii, dtype=float)
     if radii.size == 0 or not np.all((radii > 0.0) & (radii < 1.0)):
         raise DomainViolation("radii must lie strictly inside (0, 1)")
-    if _count(angles, "angles") < 1:
+    angles, terms = _count(angles, "angles"), f.order + 1
+    if angles < 1:
         raise DomainViolation("need at least one angle")
+    if max(angles * terms, radii.size * terms, angles * radii.size) > _MAX_POINTS:
+        raise DomainViolation(f"angles, radii and order + 1 must multiply pairwise to "
+                              f"at most {_MAX_POINTS}")
 
     t = np.linspace(0.0, 2.0 * np.pi, angles, endpoint=False)
     turn = np.exp(1j * t)

@@ -23,18 +23,15 @@ reads that one objective.
 
 * The two Toeplitz functionals are the ``beta = 0`` case, scanned in the
   reduced parameters ``(p1, zeta)`` with ``p1 in [0, 2]``; they have no
-  ``zeta3``.  The certified sharp bounds for these two are bounds on the
-  term-wise absolute-value majorant of the reduced form (see
-  :func:`~petalstar.caratheodory.toeplitz_log_majorant`), which dominates
-  the functional modulus pointwise and attains the bound at the corner
-  ``(p1, |zeta|) = (2, 1)``.
-  It is the reduced form's coefficient table taken in absolute value.
-  ``maximize`` therefore scans the majorant for them, and records which
-  objective was scanned in the report.  The pointwise modulus itself stays
-  well below the majorant (its true maximum over the same domain is 1/4
-  for the log variant); it remains available through the reduced-form
-  functions in :mod:`petalstar.caratheodory`, and :func:`minimize_modulus`
-  scans it for the minima.
+  ``zeta3``.  Their certified sharp bounds bound the term-wise
+  absolute-value majorant of the reduced form, its coefficient table taken
+  in absolute value (see :func:`~petalstar.caratheodory.toeplitz_log_majorant`),
+  which dominates the modulus pointwise and attains the bound at the corner
+  ``(p1, |zeta|) = (2, 1)``.  ``maximize`` therefore scans the majorant and
+  records so in the report.  The modulus itself stays well below it (its
+  maximum over the domain is 1/4 for the log variant); the reduced-form
+  functions in :mod:`petalstar.caratheodory` evaluate it, and
+  :func:`minimize_modulus` scans it for the minima.
 
 The core only maximizes; :func:`minimize_modulus` scans the negated
 modulus.  Each pass evaluates the functional's coefficient table once on
@@ -68,7 +65,7 @@ from enum import Enum
 import numpy as np
 
 from . import caratheodory as cth
-from .errors import DomainViolation, _count
+from .errors import _MAX_POINTS, DomainViolation, _count
 
 __all__ = [
     "FunctionalId",
@@ -84,13 +81,10 @@ __all__ = [
 #: Rounding margin added to the Hankel max ring bound.  It must exceed the
 #: bound's largest shortfall below the split's ``|alpha| + beta``, whose
 #: rounding differs from the bound's matrix product: about 1e-17 over the
-#: default grid's first pass and 10^5 random points.
+#: default grid's first pass and 10^5 random points.  None is added where
+#: the rows past ``c0`` are 0 (``zeta1 = 1``): there the bound and the
+#: objective are both ``|c0|`` exactly.
 _BOUND_MARGIN = 1e-13
-
-#: Cap on ``zeta1_steps * radial_steps``, the rings a pass bounds, and on
-#: ``radial_steps * angular_steps``, the most points one pass evaluates at
-#: one ``x``; the 301 x 61 x 96 grid has 18,361 and 5,856.
-_MAX_PASS_POINTS = 10 ** 6
 
 
 class FunctionalId(str, Enum):
@@ -128,8 +122,9 @@ class GridSpec:
     local passes rescan a window around the incumbent whose width shrinks
     by ``refine_shrink`` each round.  Step counts and ``refine_rounds`` are
     integers; NumPy integers are stored as Python ints.  Neither
-    ``zeta1_steps * radial_steps`` nor ``radial_steps * angular_steps`` may
-    exceed ``_MAX_PASS_POINTS``.
+    ``zeta1_steps * radial_steps``, the rings a pass bounds, nor
+    ``radial_steps * angular_steps``, the most points one pass evaluates at
+    one ``x``, may exceed ``_MAX_POINTS``.
     """
 
     zeta1_steps: int = 201
@@ -145,10 +140,10 @@ class GridSpec:
             object.__setattr__(self, name, _count(getattr(self, name), name))
         if min(self.zeta1_steps, self.radial_steps, self.angular_steps) < 2:
             raise DomainViolation("all step counts must be >= 2")
-        if max(self.zeta1_steps, self.angular_steps) * self.radial_steps > _MAX_PASS_POINTS:
+        if max(self.zeta1_steps, self.angular_steps) * self.radial_steps > _MAX_POINTS:
             raise DomainViolation(
                 f"zeta1_steps * radial_steps and radial_steps * angular_steps "
-                f"must be at most {_MAX_PASS_POINTS}")
+                f"must be at most {_MAX_POINTS}")
         if self.refine_rounds < 0:
             raise DomainViolation("refine_rounds must be >= 0")
         if not 0.0 < self.refine_shrink < 1.0:
@@ -220,12 +215,9 @@ def _scan(rows, objective, bound, x_hi: float, grid: GridSpec):
     and only if there are any, the other rings whose bound exceeds the
     incumbent, and in the first pass also those before the seed ring whose
     bound equals it.  A ring replaces the incumbent with a larger value, or
-    in the first pass with an equal one before the seed ring.  An
-    ``objective`` that ``is`` its ``bound`` (a function of the rows and
-    ``r`` alone) is never called: its rings read their values off the
-    bound, at the pass's first angle.  No pruned ring holds the first
-    C-order maximum, so the result is the unpruned scan's; a bound of
-    ``+inf`` prunes nothing.
+    in the first pass with an equal one before the seed ring.  No pruned
+    ring holds the first C-order maximum, so the result is the unpruned
+    scan's; a bound of ``+inf`` prunes nothing.
 
     Each refine pass scans the window ``lo`` to ``hi`` over ``(x, |zeta|,
     arg zeta)``, three Python floats shrunk around the incumbent and
@@ -249,12 +241,8 @@ def _scan(rows, objective, bound, x_hi: float, grid: GridSpec):
 
         def first_max(ids):
             # the first C-order maximum over the rings ids: value, ring, point
-            if objective is bound:
-                # constant on each ring: its first maximum is at the first angle
-                vals = ring_bound[ids, None]
-            else:
-                ring_r = r[ids % rs, None]
-                vals = objective(p[:, ids // rs, None], ring_r, ring_r * phase)
+            ring_r = r[ids % rs, None]
+            vals = objective(p[:, ids // rs, None], ring_r, ring_r * phase)
             m, k = divmod(int(np.argmax(vals)), vals.shape[1])
             ring = int(ids[m])
             point = (float(x[ring // rs]), complex(r[ring % rs] * phase[k]))
@@ -331,11 +319,10 @@ def _objective(functional: FunctionalId, grid: GridSpec, mode: str, zeta3_mode: 
     objective reads the form ``alpha + beta zeta3`` from those rows, with
     ``beta``'s ``r`` factor taken once per ring.  The min objective is
     ``-max(|alpha| - beta, 0)``, bounded by 0.  A Toeplitz max scans the
-    majorant, the absolute-value table's rows, returned as both objective
-    and bound (see :func:`_scan` for what that means).  The Hankel max is
-    ``|alpha| + beta``, bounded by ``|c0| + |c1| r + |c2| r^2 + beta`` from
-    the same rows plus :data:`_BOUND_MARGIN`; its oracles keep a running
-    maximum of ``|alpha + beta zeta3|`` over their ``zeta3`` points.
+    majorant, the absolute-value table's rows, as objective and bound.  The
+    Hankel max is ``|alpha| + beta``, bounded by ``|c0| + |c1| r + |c2| r^2
+    + beta`` plus :data:`_BOUND_MARGIN`; its oracles keep a running maximum
+    of ``|alpha + beta zeta3|`` over their ``zeta3`` points.
     """
     table, beta_x, _, _ = _FORMS[functional]
     if mode == "max" and beta_x is None:
@@ -383,7 +370,7 @@ def _objective(functional: FunctionalId, grid: GridSpec, mode: str, zeta3_mode: 
         # one matrix product of the rows' moduli with (1, r, r^2, beta's r
         # factor); the margin, added to |c0|, covers its rounding too
         moduli = np.abs(p[:, :, 0])
-        moduli[0] += _BOUND_MARGIN
+        moduli[0] += _BOUND_MARGIN * moduli[1:].any(axis=0)
         return moduli.T @ np.array((np.ones_like(r), r, r * r, cth._beta_r(r)))
 
     def zeta3_at(x, z):
@@ -448,9 +435,8 @@ def maximize(functional: FunctionalId, grid: GridSpec = None, seed: int = 0,
     count those evaluations in ``samples``.  Toeplitz identifiers, whose
     forms have no ``zeta3``, scan the proof majorant (see the module
     docstring) and ignore a valid ``zeta3_mode``; an unknown one raises for
-    every identifier.  ``threads``
-    has no effect: every scan runs on one thread, and the keyword remains
-    only for the benchmark's call signature.
+    every identifier.  ``threads`` has no effect: every scan runs on one
+    thread, and the keyword remains only for the benchmark's call signature.
     """
     return _report(functional, grid, "max", seed, zeta3_mode)
 

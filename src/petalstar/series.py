@@ -379,8 +379,8 @@ def rotate(f: Series, theta: float) -> Series:
     Coefficients map as ``c_n -> c_n e^{i (n-1) theta}``; a normalized
     series stays normalized.
     """
-    n = np.arange(f.order + 1)
-    coeffs = f.coeffs * np.exp(1j * (n - 1) * theta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = f.coeffs * np.exp(1j * np.arange(-1, f.order) * theta)
     if isinstance(f, SchlichtSeries):
         coeffs = coeffs.copy()
         coeffs[0] = 0.0

@@ -35,7 +35,7 @@ from petalstar import (
     toeplitz_invlog_majorant,
     toeplitz_log_majorant,
 )
-from petalstar.errors import DomainViolation
+from petalstar.errors import _MAX_POINTS, DomainViolation
 
 F0 = preset("f0", 10)
 
@@ -99,10 +99,11 @@ def test_malformed_series_is_domain_violation(call):
     (lambda: SchlichtSeries([0.0, 1.0, math.inf]), 2),
     (lambda: Series.from_dict({"order": 1, "re": [0.0, math.nan], "im": [0.0, 0.0]}), 1),
     (lambda: rotate(F0, math.nan), 2),
+    (lambda: rotate(F0, 1e308), 3),
     (lambda: asinh_series(math.nan, 1, 3), 1),
     (lambda: rotation_check(F0, [math.nan]), 2),
-], ids=["series_nan", "schlicht_inf", "from_dict_nan", "rotate_nan", "asinh_nan",
-        "rotation_check_nan"])
+], ids=["series_nan", "schlicht_inf", "from_dict_nan", "rotate_nan", "rotate_overflow",
+        "asinh_nan", "rotation_check_nan"])
 def test_non_finite_series_is_domain_violation(call, index):
     # the message names the first bad coefficient
     with pytest.raises(DomainViolation, match=f"^coefficient {index} = .* is not finite"):
@@ -138,6 +139,23 @@ def test_non_finite_parameter_is_domain_violation(call):
     # these returned NaN
     with pytest.raises(DomainViolation, match="not finite"):
         call()
+
+
+def test_sample_grid_caps():
+    # each size just past its cap fails before anything is allocated; the
+    # other sizes stay small, so a missing check allocates megabytes
+    cap = _MAX_POINTS
+    for radial, angular in ((2, cap // 2 + 1), (cap // 4 + 1, 4)):
+        with pytest.raises(DomainViolation, match="at most"):
+            quad_disk_max_grid(1.0, 0.0, -1.0, radial, angular)
+    short, long = SchlichtSeries([0.0, 1.0]), SchlichtSeries.from_tail([0.5], order=999)
+    for f, radii, angles in ((short, [0.5], cap // 2 + 1),  # angles * (order + 1)
+                             (short, np.full(1000, 0.5), 1001),  # angles * radii
+                             (long, np.full(1001, 0.5), 1)):  # radii * (order + 1)
+        with pytest.raises(DomainViolation, match="at most"):
+            class_check(f, radii, angles)
+    # tables at the cap pass
+    assert class_check(short, [0.5], cap // 2).samples == cap // 2
 
 
 def test_numpy_integer_counts_pass():

@@ -66,9 +66,9 @@ def test_gridspec_validation():
 
 
 def test_gridspec_caps_pass_size():
-    # a grid whose passes would bound or evaluate more than _MAX_PASS_POINTS
+    # a grid whose passes would bound or evaluate more than _MAX_POINTS
     # points fails at construction, before any scan allocates them
-    cap = search._MAX_PASS_POINTS
+    cap = search._MAX_POINTS
     for fields in ({"zeta1_steps": 10 ** 12}, {"zeta1_steps": cap // 41 + 1},
                    {"angular_steps": cap // 41 + 1}, {"radial_steps": cap // 2 + 1},
                    {"radial_steps": 10 ** 12, "zeta1_steps": 2, "angular_steps": 2}):
@@ -310,11 +310,15 @@ def test_hankel_coefficient_forms(kernel, table):
 def test_ring_bound_sound(monkeypatch, fid, kernel):
     # the Hankel max ring bound, margin included, is at least |alpha| + |beta|
     # at every point of its ring, and the margin exceeds the largest shortfall
-    # of the bare bound at least 100-fold
+    # of the bare bound at least 100-fold; on the zeta1 = 1 face, where c1,
+    # c2 and beta vanish, the bound carries no margin and equals the
+    # objective's ring maximum bit for bit
     margin = search._BOUND_MARGIN
-    rows, _, bound, _, _ = _objective(fid, GridSpec(), "max", "exact")
+    rows, objective, bound, _, _ = _objective(fid, GridSpec(), "max", "exact")
+    first, rings = _first_pass_and_random_rings()
+    face = (np.array([1.0]),) + first[1:]
     shortfall = 0.0
-    for z1, r, z2 in _first_pass_and_random_rings():
+    for z1, r, z2 in (first, rings, face):
         alpha = kernel(z1[:, None, None], z2, 0.0)
         beta = kernel(z1[:, None, None], z2, 1.0) - alpha
         reference = (np.abs(alpha) + np.abs(beta)).max(axis=-1)
@@ -324,6 +328,9 @@ def test_ring_bound_sound(monkeypatch, fid, kernel):
         shortfall = max(shortfall, float((reference - bound(p, r)).max()))
         monkeypatch.setattr(search, "_BOUND_MARGIN", margin)
     assert margin >= 100.0 * shortfall
+    z1, r, z2 = face
+    p = rows(z1)[:, :, None]
+    assert _bits(bound(p, r)) == _bits(objective(p, r[:, None], z2).max(axis=-1))
 
 
 def test_default_grid_invlog_max_is_exact():
@@ -443,9 +450,9 @@ def test_pruning_refine_tie_keeps_incumbent():
 
 
 def test_self_bounded_refine_beats_first_pass():
-    # an objective that is its own bound is read off the bound in every
-    # pass; a refine pass here finds a larger value than the first pass, and
-    # the scan matches one that evaluates every ring
+    # an objective may be passed as its own bound, as the Toeplitz max
+    # majorant is; a refine pass here finds a larger value than the first
+    # pass, and the scan matches one that evaluates every ring
     def peak(p, r, _z=None):
         x = p[0]
         return -((x - 0.37) ** 2) - (r - 0.61) ** 2
@@ -471,14 +478,11 @@ def _count_passes(monkeypatch):
             passes.append([])
             return rows(x)
 
-        def counted(p, r, *zeta):
-            # the bound takes (p, r), the objective (p, r, zeta)
-            if zeta:
-                passes[-1].append(len(r))
-            return fn(p, r, *zeta)
+        def counted(p, r, zeta):
+            passes[-1].append(len(r))
+            return fn(p, r, zeta)
 
-        # an objective that is its own bound stays one callable
-        return opened, counted, counted if fn is bound else bound, depth, zeta3_at
+        return opened, counted, bound, depth, zeta3_at
 
     monkeypatch.setattr(search, "_objective", objective)
     return passes
@@ -488,10 +492,11 @@ def _count_passes(monkeypatch):
 def test_scan_objective_calls(monkeypatch, grid):
     # the first pass calls the objective at most twice (seed ring, then the
     # other kept rings), a refine pass at most once, never on an empty ring
-    # set; the Toeplitz max majorant is its own bound and is never called,
-    # and the four max scans of a certify op make at most 9 calls in all
+    # set; a Toeplitz max, whose majorant is exact on its ring bound, calls
+    # it once, on the seed ring of its first pass, and the four max scans of
+    # a certify op make at most 7 calls on at most 7 rings in all
     passes = _count_passes(monkeypatch)
-    max_calls = 0
+    max_calls = max_rings = 0
     for fid in FunctionalId:
         for scan in (maximize, minimize_modulus):
             passes.clear()
@@ -500,10 +505,11 @@ def test_scan_objective_calls(monkeypatch, grid):
             assert len(passes[0]) <= 2 and all(len(p) <= 1 for p in passes[1:])
             assert all(m >= 1 for p in passes for m in p)
             if scan is maximize and fid.value.startswith("toeplitz"):
-                assert not any(passes)
+                assert passes == [[1]] + [[]] * grid.refine_rounds
             if scan is maximize:
                 max_calls += sum(map(len, passes))
-    assert max_calls <= 9
+                max_rings += sum(map(sum, passes))
+    assert max_calls <= 7 and max_rings <= 7
 
 
 def _bits(a):
