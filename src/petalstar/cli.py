@@ -26,7 +26,7 @@ import os
 import sys
 
 from .diskmax import quad_disk_max, quad_disk_max_grid
-from .errors import PetalstarError
+from .errors import _MAX_POINTS, PetalstarError
 from .extremal import PRESETS, ExtremalSpec, build_extremal, class_check, preset
 from .functionals import hankel2_invlog, hankel2_log, toeplitz2_invlog, toeplitz2_log
 from .search import FunctionalId, GridSpec, envelope_check, maximize
@@ -163,8 +163,9 @@ def _cmd_ymax(args) -> int:
 def _cmd_classcheck(args) -> int:
     if not 0.0 < args.max_radius < 1.0:
         raise PetalstarError("--max-radius must lie in (0, 1)")
-    if args.radii < 1:
-        raise PetalstarError("--radii must be >= 1")
+    # before the radius list is built, whose length is --radii
+    if not 1 <= args.radii <= _MAX_POINTS:
+        raise PetalstarError(f"--radii must be >= 1 and at most {_MAX_POINTS}")
     f = preset(args.preset, args.order)
     radii = [args.max_radius * (i + 1) / args.radii for i in range(args.radii)]
     report = class_check(f, radii, args.angles)

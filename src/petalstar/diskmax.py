@@ -82,12 +82,14 @@ def quad_disk_max(a: float, b: float, c: float) -> float:
 _ORACLE_BLOCK = 8000
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def _polar_grid(radial: int, angular: int):
     """The upper half ``0 <= t <= pi`` of the polar grid: its angles
     ``2 pi k / angular`` are closed under conjugation, and for real
     coefficients the objective takes the same value at ``z`` and at
-    ``conj(z)``, so the half grid has the full grid's maximum."""
+    ``conj(z)``, so the half grid has the full grid's maximum.  Only the
+    last grid is kept: callers repeat one grid, and a grid near the size
+    cap holds about 20 MiB."""
     r = np.linspace(0.0, 1.0, radial)[:, None]
     t = np.linspace(0.0, 2.0 * np.pi, angular, endpoint=False)[None, : angular // 2 + 1]
     z = (r * np.exp(1j * t)).ravel()

@@ -35,6 +35,7 @@ from .series import (
     DEFAULT_ORDER,
     SchlichtSeries,
     Series,
+    _order,
     asinh_series,
     exp_series,
     integrate_over_t,
@@ -81,7 +82,7 @@ PRESETS = {
 
 def build_extremal(spec: ExtremalSpec, order: int = DEFAULT_ORDER) -> SchlichtSeries:
     """Series of ``z exp(int_0^z arcsinh(c t^k) / t dt)`` to ``order``."""
-    if _count(order, "order") < 1:
+    if _order(order) < 1:
         raise DomainViolation("order must be >= 1")
     try:
         inner = integrate_over_t(asinh_series(spec.c, spec.k, order - 1))

@@ -27,7 +27,11 @@ reads that one objective.
   absolute-value majorant of the reduced form, its coefficient table taken
   in absolute value (see :func:`~petalstar.caratheodory.toeplitz_log_majorant`),
   which dominates the modulus pointwise and attains the bound at the corner
-  ``(p1, |zeta|) = (2, 1)``.  ``maximize`` therefore scans the majorant and
+  ``(p1, |zeta|) = (2, 1)``.  That table is nonnegative, so the majorant
+  increases in ``p1`` and ``|zeta|`` and the corner is its unique maximum
+  over the domain and over every grid, whose first pass holds the corner
+  node and whose refine passes keep the incumbent on ties.  ``maximize``
+  therefore reads the majorant at the corner instead of scanning it, and
   records so in the report.  The modulus itself stays well below it (its
   maximum over the domain is 1/4 for the log variant); the reduced-form
   functions in :mod:`petalstar.caratheodory` evaluate it, and
@@ -158,11 +162,12 @@ class BoundReport:
     the sharpness gap and must be nonnegative up to numeric tolerance.  A
     negative gap (an unsound scan) is reported, not raised, so that callers
     such as the ``verify`` command can print the report and fail on it.
-    ``objective`` records what was scanned: the functional ``modulus`` or
-    the Toeplitz proof ``majorant``.  Exact float ties resolve to the first
-    grid point; where a functional is constant along a face in exact
-    arithmetic, rounding picks ``argmax``, and ``observed_max`` can exceed
-    the bound by about 1e-16 (see the README's conventions).
+    ``objective`` records what was maximized: the functional ``modulus``
+    or the Toeplitz proof ``majorant``, read at its corner.  Exact float
+    ties resolve to the first grid point; where a functional is constant
+    along a face in exact arithmetic, rounding picks ``argmax``, and
+    ``observed_max`` can exceed the bound by about 1e-16 (see the README's
+    conventions).
     """
 
     functional: str
@@ -318,18 +323,13 @@ def _objective(functional: FunctionalId, grid: GridSpec, mode: str, zeta3_mode: 
     for the Hankel forms stacks ``beta``'s ``x`` factor below it; every
     objective reads the form ``alpha + beta zeta3`` from those rows, with
     ``beta``'s ``r`` factor taken once per ring.  The min objective is
-    ``-max(|alpha| - beta, 0)``, bounded by 0.  A Toeplitz max scans the
-    majorant, the absolute-value table's rows, as objective and bound.  The
-    Hankel max is ``|alpha| + beta``, bounded by ``|c0| + |c1| r + |c2| r^2
-    + beta`` plus :data:`_BOUND_MARGIN`; its oracles keep a running maximum
-    of ``|alpha + beta zeta3|`` over their ``zeta3`` points.
+    ``-max(|alpha| - beta, 0)``, bounded by 0.  The max, a Hankel one (a
+    Toeplitz max runs no scan), is ``|alpha| + beta``, bounded by ``|c0| +
+    |c1| r + |c2| r^2 + beta`` plus :data:`_BOUND_MARGIN`; its oracles keep
+    a running maximum of ``|alpha + beta zeta3|`` over their ``zeta3``
+    points.
     """
     table, beta_x, _, _ = _FORMS[functional]
-    if mode == "max" and beta_x is None:
-        def majorant(p, r, _z=None):
-            return cth._quadratic(p, r)
-        return cth._coeff_rows(cth._abs_table(table)), majorant, majorant, 1, None
-
     coeffs = cth._coeff_rows(table)
     if beta_x is None:
         rows, beta = coeffs, _zero
@@ -399,9 +399,17 @@ def _report(functional, grid: GridSpec, mode: str, seed: int,
         grid = GridSpec()
     elif not isinstance(grid, GridSpec):
         raise DomainViolation(f"grid = {grid!r} is not a GridSpec")
-    rows, objective, bound, depth, zeta3_at = _objective(functional, grid, mode, zeta3_mode)
-    _, _, x_hi, (x_name, z_name) = _FORMS[functional]
-    val, (x, z), nodes = _scan(rows, objective, bound, x_hi, grid)
+    table, beta_x, x_hi, (x_name, z_name) = _FORMS[functional]
+    if mode == "max" and beta_x is None:
+        # the Toeplitz majorant peaks at the corner, the node a scan of the
+        # grid reports; samples still count the grid's nodes, as _scan does
+        val, x, z = cth._majorant(table, x_hi, 1.0), x_hi, 1 + 0j
+        depth, zeta3_at = 1, None
+        nodes = ((grid.refine_rounds + 1) * grid.zeta1_steps
+                 * grid.radial_steps * grid.angular_steps)
+    else:
+        rows, objective, bound, depth, zeta3_at = _objective(functional, grid, mode, zeta3_mode)
+        val, (x, z), nodes = _scan(rows, objective, bound, x_hi, grid)
     argmax = {x_name: x, f"{z_name}_re": z.real, f"{z_name}_im": z.imag}
     if zeta3_at is not None:
         z3 = complex(zeta3_at(x, z))
@@ -412,7 +420,7 @@ def _report(functional, grid: GridSpec, mode: str, seed: int,
     return BoundReport(
         functional=functional.value,
         mode=mode,
-        objective="majorant" if mode == "max" and zeta3_at is None else "modulus",
+        objective="majorant" if mode == "max" and beta_x is None else "modulus",
         observed_max=val,
         argmax=argmax,
         sharp_bound=sharp,
@@ -433,10 +441,12 @@ def maximize(functional: FunctionalId, grid: GridSpec = None, seed: int = 0,
     grid node at ``angular_steps`` points of the circle ``|zeta3| = 1`` or
     at the ``radial_steps x angular_steps`` polar grid of the disk; both
     count those evaluations in ``samples``.  Toeplitz identifiers, whose
-    forms have no ``zeta3``, scan the proof majorant (see the module
-    docstring) and ignore a valid ``zeta3_mode``; an unknown one raises for
-    every identifier.  ``threads`` has no effect: every scan runs on one
-    thread, and the keyword remains only for the benchmark's call signature.
+    forms have no ``zeta3``, read the proof majorant at its corner, its
+    maximum on every grid (see the module docstring), count the grid's
+    nodes in ``samples`` and ignore a valid ``zeta3_mode``; an unknown one
+    raises for every identifier.  ``threads`` has no effect: every scan
+    runs on one thread, and the keyword remains only for the benchmark's
+    call signature.
     """
     return _report(functional, grid, "max", seed, zeta3_mode)
 

@@ -28,6 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    _MAX_POINTS,
     DomainViolation,
     NonzeroConstant,
     NonzeroInnerConstant,
@@ -96,19 +97,19 @@ class Series:
 
     @classmethod
     def zero(cls, order: int = DEFAULT_ORDER) -> "Series":
-        return cls(np.zeros(order + 1, dtype=complex))
+        return cls(_zeros(order))
 
     @classmethod
     def one(cls, order: int = DEFAULT_ORDER) -> "Series":
-        c = np.zeros(order + 1, dtype=complex)
+        c = _zeros(order)
         c[0] = 1.0
         return cls(c)
 
     @classmethod
     def identity(cls, order: int = DEFAULT_ORDER) -> "Series":
         """The series of ``z`` itself."""
-        c = np.zeros(order + 1, dtype=complex)
-        if order >= 1:
+        c = _zeros(order)
+        if c.size > 1:
             c[1] = 1.0
         return cls(c)
 
@@ -219,12 +220,29 @@ class SchlichtSeries(Series):
     def from_tail(cls, tail: Sequence[complex], order: int = DEFAULT_ORDER) -> "SchlichtSeries":
         """Build ``z + a2 z^2 + ...`` from the tail ``(a2, a3, ...)``."""
         tail = np.asarray(tail, dtype=complex)
-        if _count(order, "order") < tail.size + 1:
-            order = tail.size + 1
+        order = max(_order(order), tail.size + 1)
         c = np.zeros(order + 1, dtype=complex)
         c[1] = 1.0
         c[2 : 2 + tail.size] = tail
         return cls(c)
+
+
+def _order(order) -> int:
+    """``order`` as an ``int`` of at most ``_MAX_POINTS``, else
+    :class:`DomainViolation`, checked before a series of ``order + 1``
+    coefficients is built."""
+    order = _count(order, "order")
+    if order > _MAX_POINTS:
+        raise DomainViolation(f"order = {order} must be at most {_MAX_POINTS}")
+    return order
+
+
+def _zeros(order) -> np.ndarray:
+    """The ``order + 1`` zero coefficients of a series of order ``order >= 0``."""
+    order = _order(order)
+    if order < 0:
+        raise DomainViolation("order must be non-negative")
+    return np.zeros(order + 1, dtype=complex)
 
 
 # -- array kernels ------------------------------------------------------------
@@ -361,9 +379,7 @@ def asinh_series(c: complex, k: int, order: int) -> Series:
     """
     if _count(k, "power k") < 1:
         raise DomainViolation("power k must be a positive integer")
-    if _count(order, "order") < 0:
-        raise DomainViolation("order must be non-negative")
-    out = np.zeros(order + 1, dtype=complex)
+    out = _zeros(order)
     coeff = 1.0
     n = 0
     while (2 * n + 1) * k <= order:

@@ -14,6 +14,7 @@ import pytest
 
 from petalstar import search
 from petalstar.cli import main
+from petalstar.errors import _MAX_POINTS
 
 
 def run(capsys, *argv):
@@ -290,6 +291,15 @@ def test_classcheck_no_radii(capsys):
     assert out == ""
     assert "--radii" in err
 
+
+def test_classcheck_radii_cap(capsys):
+    # refused before the radius list is built; class_check's own cap would
+    # refuse it too, but only after building a list of --radii floats
+    code, out, err = run(capsys, "classcheck", "--preset", "f0",
+                         "--radii", str(_MAX_POINTS + 1))
+    assert code == 2
+    assert out == ""
+    assert "--radii" in err and "at most" in err
 
 def test_envelope(capsys):
     code, out, _ = run(capsys, "envelope")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import SEED
-from petalstar import quad_disk_max, quad_disk_max_grid
+from petalstar import diskmax, quad_disk_max, quad_disk_max_grid
 from petalstar.errors import DomainViolation
 
 
@@ -21,6 +21,14 @@ def test_grid_oracle_known_values():
     assert abs(quad_disk_max_grid(1, 2, 0, 400, 400) - 3.0) <= 2e-3
     v = quad_disk_max_grid(-1, 1, 1, 400, 400)
     assert abs(quad_disk_max(-1, 1, 1) - v) <= 2e-3
+
+
+def test_polar_grid_cache_keeps_one_grid():
+    # a second grid replaces the first in the cache, so that a process
+    # holds one oracle grid however many grids it has used
+    quad_disk_max_grid(1, 0, -1, 20, 20)
+    quad_disk_max_grid(1, 0, -1, 30, 24)
+    assert diskmax._polar_grid.cache_info().currsize == 1
 
 
 def test_grid_guard():

@@ -35,6 +35,7 @@ from petalstar import (
     toeplitz_invlog_majorant,
     toeplitz_log_majorant,
 )
+from petalstar import extremal
 from petalstar.errors import _MAX_POINTS, DomainViolation
 
 F0 = preset("f0", 10)
@@ -156,6 +157,26 @@ def test_sample_grid_caps():
             class_check(f, radii, angles)
     # tables at the cap pass
     assert class_check(short, [0.5], cap // 2).samples == cap // 2
+
+
+@pytest.mark.parametrize("build", [
+    Series.zero,
+    Series.one,
+    Series.identity,
+    lambda order: SchlichtSeries.from_tail([0.5], order=order),
+    lambda order: asinh_series(1.0, 1, order),
+    lambda order: build_extremal(PRESETS["f1"], order),
+    lambda order: preset("f0", order),
+], ids=["zero", "one", "identity", "from_tail", "asinh_series", "build_extremal", "preset"])
+def test_series_order_cap(monkeypatch, build):
+    # an order past the cap fails before any series is built; the extremal
+    # builders would build asinh_series first, so reaching it fails the test
+    def built(*_args):
+        raise AssertionError("built a series past the cap")
+
+    monkeypatch.setattr(extremal, "asinh_series", built)
+    with pytest.raises(DomainViolation, match="^order = .* at most"):
+        build(_MAX_POINTS + 1)
 
 
 def test_numpy_integer_counts_pass():

@@ -153,7 +153,7 @@ def test_exact_zeta3_matches_oracles():
     for fid in (FunctionalId.HANKEL_LOG, FunctionalId.TOEPLITZ_LOG):
         with pytest.raises(DomainViolation):
             maximize(fid, grid, zeta3_mode="interior")
-    # a Toeplitz max scans its majorant whatever the valid zeta3_mode
+    # a Toeplitz max reads its majorant whatever the valid zeta3_mode
     for fid in (FunctionalId.TOEPLITZ_LOG, FunctionalId.TOEPLITZ_INVLOG):
         reports = {json.dumps(maximize(fid, COARSE, zeta3_mode=m).to_dict())
                    for m in ("exact", "boundary", "disk")}
@@ -392,7 +392,8 @@ _PRUNING_GRIDS = {
 @pytest.mark.parametrize("grid_name", _PRUNING_GRIDS)
 def test_pruning_invariance(monkeypatch, grid_name):
     # a ring bound of +inf prunes no ring; the pruned max and min scans
-    # reproduce those reports byte for byte, ties included
+    # reproduce those reports byte for byte, ties included (a Toeplitz max
+    # runs no scan: test_toeplitz_max_is_majorant_scan covers it)
     grid = _PRUNING_GRIDS[grid_name]
 
     def reports():
@@ -407,6 +408,47 @@ def test_pruning_invariance(monkeypatch, grid_name):
 
     monkeypatch.setattr(search, "_scan", unpruned)
     assert reports() == pruned
+
+
+_RNG_ORACLE = np.random.default_rng(SEED + 61)
+
+_MAJORANT_GRIDS = {
+    **_PRUNING_GRIDS,
+    "default": GridSpec(),
+    **{f"random{i}": GridSpec(*(int(_RNG_ORACLE.integers(2, hi)) for hi in (60, 20, 40)),
+                              int(_RNG_ORACLE.integers(0, 5)),
+                              float(_RNG_ORACLE.uniform(0.05, 0.95)))
+       for i in range(4)},
+}
+
+
+@pytest.mark.parametrize("grid_name", _MAJORANT_GRIDS)
+def test_toeplitz_max_is_majorant_scan(grid_name):
+    # a Toeplitz max reads the majorant at its corner instead of scanning
+    # it; an unpruned scan of the majorant, the absolute-value table's rows,
+    # gives the same value, argmax and node count byte for byte, and each of
+    # its passes' rows is cth._coeffs of that table, bit for bit
+    grid = _MAJORANT_GRIDS[grid_name]
+
+    def majorant(p, r, _z):
+        return cth._quadratic(p, r)
+
+    for fid in (FunctionalId.TOEPLITZ_LOG, FunctionalId.TOEPLITZ_INVLOG):
+        table = cth._abs_table(search._FORMS[fid][0])
+        coeffs, seen = cth._coeff_rows(table), []
+
+        def rows(x):
+            seen.append((x, coeffs(x)))
+            return seen[-1][1]
+
+        val, (p1, z), nodes = search._scan(rows, majorant, search._unbounded, 2.0, grid)
+        assert len(seen) == grid.refine_rounds + 1
+        for x, p in seen:
+            assert _bits(p) == _bits(cth._coeffs(table, x))
+        rep = maximize(fid, grid)
+        assert (json.dumps([rep.observed_max, rep.argmax, rep.samples])
+                == json.dumps([val, {"p1": p1, "zeta_re": z.real, "zeta_im": z.imag}, nodes]))
+        assert rep.objective == "majorant" and rep.deviation == rep.sharp_bound - val
 
 
 def _x_rows(x):
@@ -450,9 +492,9 @@ def test_pruning_refine_tie_keeps_incumbent():
 
 
 def test_self_bounded_refine_beats_first_pass():
-    # an objective may be passed as its own bound, as the Toeplitz max
-    # majorant is; a refine pass here finds a larger value than the first
-    # pass, and the scan matches one that evaluates every ring
+    # an objective may be passed as its own bound; a refine pass here finds
+    # a larger value than the first pass, and the scan matches one that
+    # evaluates every ring
     def peak(p, r, _z=None):
         x = p[0]
         return -((x - 0.37) ** 2) - (r - 0.61) ** 2
@@ -492,24 +534,25 @@ def _count_passes(monkeypatch):
 def test_scan_objective_calls(monkeypatch, grid):
     # the first pass calls the objective at most twice (seed ring, then the
     # other kept rings), a refine pass at most once, never on an empty ring
-    # set; a Toeplitz max, whose majorant is exact on its ring bound, calls
-    # it once, on the seed ring of its first pass, and the four max scans of
-    # a certify op make at most 7 calls on at most 7 rings in all
+    # set; a Toeplitz max, read at the majorant's corner, opens no pass, and
+    # the four max scans of a certify op make at most 5 calls on at most 5
+    # rings in all
     passes = _count_passes(monkeypatch)
     max_calls = max_rings = 0
     for fid in FunctionalId:
         for scan in (maximize, minimize_modulus):
             passes.clear()
             scan(fid, grid)
+            if scan is maximize and fid.value.startswith("toeplitz"):
+                assert passes == []
+                continue
             assert len(passes) == grid.refine_rounds + 1
             assert len(passes[0]) <= 2 and all(len(p) <= 1 for p in passes[1:])
             assert all(m >= 1 for p in passes for m in p)
-            if scan is maximize and fid.value.startswith("toeplitz"):
-                assert passes == [[1]] + [[]] * grid.refine_rounds
             if scan is maximize:
                 max_calls += sum(map(len, passes))
                 max_rings += sum(map(sum, passes))
-    assert max_calls <= 7 and max_rings <= 7
+    assert max_calls <= 5 and max_rings <= 5
 
 
 def _bits(a):
@@ -519,9 +562,9 @@ def _bits(a):
 @pytest.mark.parametrize("mode", ["max", "min"])
 def test_pass_rows_bit_equal(monkeypatch, mode):
     # on the default grid's first pass and every refine window, each pass's
-    # axis is np.linspace's, its rows are cth._coeffs of its table (the
-    # majorant's absolute-value table for a Toeplitz max), and the Hankel
-    # rows' beta factor gives the closed-form beta of the old kernels
+    # axis is np.linspace's, its rows are cth._coeffs of its table, and the
+    # Hankel rows' beta factor gives the closed-form beta of the old kernels;
+    # the max scans are the Hankel pair's (a Toeplitz max opens no pass)
     build = search._objective
     seen = []
 
@@ -537,13 +580,13 @@ def test_pass_rows_bit_equal(monkeypatch, mode):
     grid = GridSpec()
     r = np.linspace(0.0, 1.0, grid.radial_steps)[None, :]
     for fid in FunctionalId:
+        hankel = fid.value.startswith("hankel")
+        if mode == "max" and not hankel:
+            continue
         seen.clear()
         (maximize if mode == "max" else minimize_modulus)(fid, grid)
         assert len(seen) == grid.refine_rounds + 1
         table = search._FORMS[fid][0]
-        hankel = fid.value.startswith("hankel")
-        if mode == "max" and not hankel:
-            table = cth._abs_table(table)
         for x, p in seen:
             assert _bits(x) == _bits(np.linspace(x[0], x[-1], grid.zeta1_steps))
             assert p.shape == (4 if hankel else 3, grid.zeta1_steps)
