@@ -167,14 +167,19 @@ def _coeffs(table, x):
 
 def _coeff_rows(table):
     """The evaluator ``x -> np.array(_coeffs(table, x))`` of an axis ``x`` of
-    shape ``(n,)``: the same Horner steps on the three rows at once, so that
-    the ``(3, n)`` result is bit-equal to :func:`_coeffs`."""
+    shape ``(n,)``: the same Horner steps on the three rows at once, in place
+    in the ``(3, n)`` result or ``out``, so that it is bit-equal to :func:`_coeffs`."""
     rows, den = table
     a, b, c = np.array(rows, dtype=float).T[:, :, None]
 
-    def coeffs(x):
+    def coeffs(x, out=None):
         u = x * x
-        return (a + u * (b + u * c)) / den
+        out = np.multiply(u, c, out=out)
+        out += b
+        out *= u
+        out += a
+        out /= den
+        return out
     return coeffs
 
 

@@ -224,39 +224,41 @@ def _scan(rows, objective, bound, x_hi: float, grid: GridSpec):
     ring holds the first C-order maximum, so the result is the unpruned
     scan's; a bound of ``+inf`` prunes nothing.
 
-    Each refine pass scans the window ``lo`` to ``hi`` over ``(x, |zeta|,
-    arg zeta)``, three Python floats shrunk around the incumbent and
-    clipped to the domain but for the angle; every axis is
-    ``np.linspace``'s, built by :func:`_axis`.  Returns ``(value, (x,
-    zeta), nodes)``, ``nodes`` counting every grid node.
+    Each refine pass scans a window over ``(x, |zeta|, arg zeta)``, six
+    Python floats shrunk around the incumbent and clipped to the domain but
+    for the angle; every axis is ``np.linspace``'s, built by :func:`_axis`.
+    A pass builds its angle axis only if it evaluates a ring.  Returns
+    ``(value, (x, zeta), nodes)``, ``nodes`` counting every grid node.
     """
     two_pi = 2.0 * math.pi
-    lo, hi = (0.0, 0.0, 0.0), (x_hi, 1.0, two_pi)
     n, rs, ts = grid.zeta1_steps, grid.radial_steps, grid.angular_steps
     x_ramp, r_ramp, t_ramp = (np.arange(k, dtype=float) for k in (n, rs, ts))
+    x_lo, x_up, r_lo, r_up, t_lo, t_up = 0.0, x_hi, 0.0, 1.0, 0.0, two_pi
     best_val = None
 
-    for rnd in range(grid.refine_rounds + 1):
-        x = _axis(x_ramp, lo[0], hi[0])
-        r = _axis(r_ramp, lo[1], hi[1])
-        # the first pass's window is the whole circle, whose end 2 pi is 0
-        phase = np.exp(1j * _axis(t_ramp, lo[2], hi[2], endpoint=rnd > 0))
-        p = rows(x)
-        ring_bound = np.broadcast_to(bound(p[:, :, None], r), (n, rs)).ravel()
+    def first_max(ids):
+        # the first C-order maximum over this pass's rings ids: value, ring, point
+        ring_r = r[ids % rs, None]
+        vals = objective(p[:, ids // rs, None], ring_r, ring_r * phase)
+        m, k = divmod(int(np.argmax(vals)), vals.shape[1])
+        ring = int(ids[m])
+        return float(vals[m, k]), ring, (float(x[ring // rs]), complex(r[ring % rs] * phase[k]))
 
-        def first_max(ids):
-            # the first C-order maximum over the rings ids: value, ring, point
-            ring_r = r[ids % rs, None]
-            vals = objective(p[:, ids // rs, None], ring_r, ring_r * phase)
-            m, k = divmod(int(np.argmax(vals)), vals.shape[1])
-            ring = int(ids[m])
-            point = (float(x[ring // rs]), complex(r[ring % rs] * phase[k]))
-            return float(vals[m, k]), ring, point
+    for rnd in range(grid.refine_rounds + 1):
+        x = _axis(x_ramp, x_lo, x_up)
+        r = _axis(r_ramp, r_lo, r_up)
+        p = rows(x)
+        ring_bound = bound(p[:, :, None], r)
+        if np.shape(ring_bound) != (n, rs):
+            ring_bound = np.broadcast_to(ring_bound, (n, rs))
+        ring_bound = ring_bound.ravel()
 
         # the incumbent's place in this pass's C order: the seed ring's in the
         # first pass, before every ring in a refine pass
-        seed = -1
+        seed, phase = -1, None
         if best_val is None:
+            # the first pass's angles are the whole circle, whose end 2 pi is 0
+            phase = np.exp(1j * _axis(t_ramp, t_lo, t_up, endpoint=False))
             seed = int(np.argmax(ring_bound))
             best_val, _, best_params = first_max(np.array([seed]))
         keep = ring_bound > best_val
@@ -266,15 +268,20 @@ def _scan(rows, objective, bound, x_hi: float, grid: GridSpec):
         ids = np.flatnonzero(keep)
 
         if ids.size:
+            if phase is None:
+                phase = np.exp(1j * _axis(t_ramp, t_lo, t_up))
             val, ring, params = first_max(ids)
             if val > best_val or val == best_val and ring < seed:
                 best_val, best_params = val, params
 
         x_c, z_c = best_params
-        center = (x_c, abs(z_c), math.atan2(z_c.imag, z_c.real) % two_pi)
-        half = [(b - a) * grid.refine_shrink / 2.0 for a, b in zip(lo, hi)]
-        lo = [max(c - w, e) for c, w, e in zip(center, half, (0.0, 0.0, -math.inf))]
-        hi = [min(c + w, e) for c, w, e in zip(center, half, (x_hi, 1.0, math.inf))]
+        r_c, t_c = abs(z_c), math.atan2(z_c.imag, z_c.real) % two_pi
+        half = (x_up - x_lo) * grid.refine_shrink / 2.0
+        x_lo, x_up = max(x_c - half, 0.0), min(x_c + half, x_hi)
+        half = (r_up - r_lo) * grid.refine_shrink / 2.0
+        r_lo, r_up = max(r_c - half, 0.0), min(r_c + half, 1.0)
+        half = (t_up - t_lo) * grid.refine_shrink / 2.0
+        t_lo, t_up = t_c - half, t_c + half
 
     return best_val, best_params, (grid.refine_rounds + 1) * n * rs * ts
 
@@ -320,14 +327,14 @@ def _objective(functional: FunctionalId, grid: GridSpec, mode: str, zeta3_mode: 
     which the objective's value is attained, ``None`` for a form without
     ``zeta3``.  ``rows(x)`` evaluates the coefficient table of
     ``_FORMS[functional]`` once per pass, bit-equal to ``cth._coeffs``, and
-    for the Hankel forms stacks ``beta``'s ``x`` factor below it; every
-    objective reads the form ``alpha + beta zeta3`` from those rows, with
-    ``beta``'s ``r`` factor taken once per ring.  The min objective is
+    for the Hankel forms writes ``beta``'s ``x`` factor as a fourth row;
+    every objective reads the form ``alpha + beta zeta3`` from those rows,
+    with ``beta``'s ``r`` factor taken once per ring.  The min objective is
     ``-max(|alpha| - beta, 0)``, bounded by 0.  The max, a Hankel one (a
     Toeplitz max runs no scan), is ``|alpha| + beta``, bounded by ``|c0| +
     |c1| r + |c2| r^2 + beta`` plus :data:`_BOUND_MARGIN`; its oracles keep
     a running maximum of ``|alpha + beta zeta3|`` over their ``zeta3``
-    points.
+    points.  ``zeta3_at`` works in scalars, bit-equal to ``rows([x])``.
     """
     table, beta_x, _, _ = _FORMS[functional]
     coeffs = cth._coeff_rows(table)
@@ -335,7 +342,10 @@ def _objective(functional: FunctionalId, grid: GridSpec, mode: str, zeta3_mode: 
         rows, beta = coeffs, _zero
     else:
         def rows(x):
-            return np.concatenate((coeffs(x), beta_x(x)[None]))
+            p = np.empty((4, x.size))
+            coeffs(x, out=p[:3])
+            p[3] = beta_x(x)
+            return p
 
         def beta(p, r):
             return p[3] * cth._beta_r(r)
@@ -344,8 +354,10 @@ def _objective(functional: FunctionalId, grid: GridSpec, mode: str, zeta3_mode: 
         return cth._quadratic(p, z), beta(p, r)
 
     def split_at(x, z):
-        # one point, from the rows of the axis [x]
-        return split(rows(np.array([x]))[:, 0], abs(z), z)
+        # one Hankel point, op for op as split reads the column rows([x]), in
+        # NumPy scalars, whose float-complex products are the arrays'
+        x = np.float64(x)
+        return cth._quadratic(cth._coeffs(table, x), z), beta_x(x) * cth._beta_r(abs(z))
 
     if mode == "max" and zeta3_mode != "exact":
         z3_grid = _zeta3_grid(zeta3_mode, grid)
@@ -367,11 +379,17 @@ def _objective(functional: FunctionalId, grid: GridSpec, mode: str, zeta3_mode: 
         return -np.maximum(np.abs(alpha) - b, 0.0)
 
     def max_bound(p, r):
-        # one matrix product of the rows' moduli with (1, r, r^2, beta's r
-        # factor); the margin, added to |c0|, covers its rounding too
+        # one matrix product of the rows' moduli with the radius block (1, r,
+        # r^2 and, for the Hankel rows, beta's r factor); the margin, added to
+        # |c0| where a row past it is nonzero, covers its rounding too
         moduli = np.abs(p[:, :, 0])
-        moduli[0] += _BOUND_MARGIN * moduli[1:].any(axis=0)
-        return moduli.T @ np.array((np.ones_like(r), r, r * r, cth._beta_r(r)))
+        np.add(moduli[0], _BOUND_MARGIN, out=moduli[0], where=moduli[1:].any(axis=0))
+        block = np.empty((len(p), r.size))
+        block[0], block[1] = 1.0, r
+        np.multiply(r, r, out=block[2])
+        if len(p) > 3:
+            block[3] = cth._beta_r(r)
+        return moduli.T @ block
 
     def zeta3_at(x, z):
         alpha, b = (complex(v) for v in split_at(x, z))

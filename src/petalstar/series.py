@@ -272,9 +272,12 @@ def _lagrange(f: np.ndarray, n: int, s: int) -> np.ndarray:
     (Lagrange inversion); ``s = 1`` those of ``log(c1 F(w) / w)``
     (Lagrange-Buermann).  Row ``k`` of the power table is ``u^k``
     truncated, one product with the lower-triangular Toeplitz matrix of
-    ``u`` (a truncated convolution) from row ``k - 1``.
+    ``u`` (a truncated convolution) from row ``k - 1``.  A table, never
+    smaller than the matrix, of over ``_MAX_POINTS`` entries is refused.
     """
     c1, size = f[1], n + s
+    if (n + 1) * size > _MAX_POINTS:
+        raise DomainViolation(f"order {n} needs {n + 1} x {size} entries, at most {_MAX_POINTS}")
     u = _reciprocal(f[1:] / c1, size - 1)
     i = np.arange(size)
     # entry (i, j) is u[i - j], 0 above the diagonal

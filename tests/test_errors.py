@@ -29,13 +29,14 @@ from petalstar import (
     petal_map,
     preset,
     quad_disk_max_grid,
+    revert,
     rotate,
     rotation_check,
     toeplitz_det,
     toeplitz_invlog_majorant,
     toeplitz_log_majorant,
 )
-from petalstar import extremal
+from petalstar import extremal, series
 from petalstar.errors import _MAX_POINTS, DomainViolation
 
 F0 = preset("f0", 10)
@@ -177,6 +178,22 @@ def test_series_order_cap(monkeypatch, build):
     monkeypatch.setattr(extremal, "asinh_series", built)
     with pytest.raises(DomainViolation, match="^order = .* at most"):
         build(_MAX_POINTS + 1)
+
+
+@pytest.mark.parametrize("lagrange", [
+    lambda: revert(SchlichtSeries.from_tail([0.05], order=1000)),
+    lambda: inv_log_coeffs(SchlichtSeries.from_tail([0.05], order=1001), 1000),
+], ids=["revert", "inv_log_coeffs"])
+def test_lagrange_table_cap(monkeypatch, lagrange):
+    # a Lagrange power table past the cap, 1001 x 1000 for revert and 1001 x
+    # 1001 for the inverse log coefficients, fails before anything is built:
+    # the power loop starts from the reciprocal, so reaching it fails the test
+    def built(*_args):
+        raise AssertionError("started a power table past the cap")
+
+    monkeypatch.setattr(series, "_reciprocal", built)
+    with pytest.raises(DomainViolation, match="^order 1000 .* at most"):
+        lagrange()
 
 
 def test_numpy_integer_counts_pass():

@@ -451,6 +451,66 @@ def test_toeplitz_max_is_majorant_scan(grid_name):
         assert rep.objective == "majorant" and rep.deviation == rep.sharp_bound - val
 
 
+@pytest.mark.parametrize("grid_name", _PRUNING_GRIDS)
+def test_toeplitz_modulus_max_pruning(grid_name):
+    # the max objective and ring bound _objective builds for a Toeplitz form,
+    # whose three rows take the radius block (1, r, r^2), prune a modulus
+    # max scan to the unpruned one byte for byte
+    grid = _PRUNING_GRIDS[grid_name]
+    for fid in (FunctionalId.TOEPLITZ_LOG, FunctionalId.TOEPLITZ_INVLOG):
+        rows, objective, bound, _, _ = _objective(fid, grid, "max", "exact")
+        got = [search._scan(rows, objective, b, 2.0, grid) for b in (bound, search._unbounded)]
+        pruned, unpruned = (json.dumps([v, x, z.real, z.imag, nodes]) for v, (x, z), nodes in got)
+        assert pruned == unpruned
+
+
+_RNG_ZETA3 = np.random.default_rng(SEED + 67)
+
+
+def _zeta3_points():
+    """Seeded random ``(zeta1, zeta2)`` and the faces: ``zeta1`` in {0, 1},
+    ``zeta2 = 0`` and ``|zeta2| = 1``, with both signs of a zero imaginary
+    part."""
+    z1 = [0.0, 1.0, *_RNG_ZETA3.uniform(size=46)]
+    z2 = [complex(0.0, 0.0), complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0),
+          complex(1.0, 0.0), complex(1.0, -0.0), complex(-1.0, 0.0), complex(-1.0, -0.0),
+          complex(0.3, 0.0), complex(-0.3, -0.0), 1j, -1j,
+          *np.exp(2j * math.pi * _RNG_ZETA3.uniform(size=6)),
+          *(np.sqrt(_RNG_ZETA3.uniform(size=12))
+            * np.exp(2j * math.pi * _RNG_ZETA3.uniform(size=12)))]
+    return [(float(x), complex(z)) for x in z1 for z in z2]
+
+
+def _complex_bits(v):
+    return _bits(np.array([complex(v)]).view(float))
+
+
+@pytest.mark.parametrize("mode", ["max", "min"])
+@pytest.mark.parametrize("fid", [FunctionalId.HANKEL_LOG, FunctionalId.HANKEL_INVLOG])
+def test_zeta3_at_matches_column_path(fid, mode):
+    # a report's zeta3, taken in scalar arithmetic, is bit for bit the one
+    # read off the one-column rows rows([x]), the array path of the scan
+    # passes, signed zeros included, at random points and on the faces; so
+    # is the boundary oracle's
+    rows, _, _, _, zeta3_at = _objective(fid, GridSpec(), mode, "exact")
+    oracle_zeta3 = _objective(fid, GridSpec(), "max", "boundary")[4]
+    z3_grid = search._zeta3_grid("boundary", GridSpec())
+    for x, z in _zeta3_points():
+        p = rows(np.array([x]))[:, 0]
+        alpha, b = cth._quadratic(p, z), p[3] * cth._beta_r(abs(z))
+        a, c = complex(alpha), complex(b)
+        if a == 0.0 or c == 0.0:
+            want = 1.0 if mode == "max" else 0.0
+        else:
+            want = a / abs(a)
+            if mode == "min":
+                want = -want * min(abs(a) / abs(c), 1.0)
+        assert _complex_bits(zeta3_at(x, z)) == _complex_bits(want)
+        if mode == "max":
+            want = z3_grid[int(np.argmax(np.abs(alpha + b * z3_grid)))]
+            assert _complex_bits(oracle_zeta3(x, z)) == _complex_bits(want)
+
+
 def _x_rows(x):
     """The rows of a hand-written objective and bound: the ``x`` axis alone,
     which they read back as ``x = p[0]``."""
