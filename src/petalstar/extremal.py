@@ -35,7 +35,7 @@ from .series import (
     DEFAULT_ORDER,
     SchlichtSeries,
     Series,
-    _order,
+    _exp_order,
     asinh_series,
     exp_series,
     integrate_over_t,
@@ -81,8 +81,9 @@ PRESETS = {
 
 
 def build_extremal(spec: ExtremalSpec, order: int = DEFAULT_ORDER) -> SchlichtSeries:
-    """Series of ``z exp(int_0^z arcsinh(c t^k) / t dt)`` to ``order``."""
-    if _order(order) < 1:
+    """Series of ``z exp(int_0^z arcsinh(c t^k) / t dt)`` to ``order``; an
+    order :func:`exp_series` refuses is refused before any series is built."""
+    if _exp_order(order) < 1:
         raise DomainViolation("order must be >= 1")
     try:
         inner = integrate_over_t(asinh_series(spec.c, spec.k, order - 1))
@@ -120,7 +121,8 @@ def petal_map(z: complex) -> complex:
 
 def in_petal(w: complex) -> bool:
     """Membership in the petal region: ``|sinh(w - 1)| < 1``."""
-    return bool(np.abs(np.sinh(complex(w) - 1.0)) < 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(np.abs(np.sinh(complex(w) - 1.0)) < 1.0)
 
 
 @dataclass(frozen=True)

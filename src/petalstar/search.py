@@ -228,7 +228,8 @@ def _scan(rows, objective, bound, x_hi: float, grid: GridSpec):
     Python floats shrunk around the incumbent and clipped to the domain but
     for the angle; every axis is ``np.linspace``'s, built by :func:`_axis`.
     A pass builds its angle axis only if it evaluates a ring.  Returns
-    ``(value, (x, zeta), nodes)``, ``nodes`` counting every grid node.
+    ``(value, (x, zeta), column)``, ``column`` the incumbent's rows, a view
+    ``p[:, i]`` into those of the pass that found it.
     """
     two_pi = 2.0 * math.pi
     n, rs, ts = grid.zeta1_steps, grid.radial_steps, grid.angular_steps
@@ -237,12 +238,12 @@ def _scan(rows, objective, bound, x_hi: float, grid: GridSpec):
     best_val = None
 
     def first_max(ids):
-        # the first C-order maximum over this pass's rings ids: value, ring, point
+        # the first C-order maximum over this pass's rings ids: value, ring, point, column
         ring_r = r[ids % rs, None]
         vals = objective(p[:, ids // rs, None], ring_r, ring_r * phase)
         m, k = divmod(int(np.argmax(vals)), vals.shape[1])
-        ring = int(ids[m])
-        return float(vals[m, k]), ring, (float(x[ring // rs]), complex(r[ring % rs] * phase[k]))
+        i, j = divmod(int(ids[m]), rs)
+        return float(vals[m, k]), int(ids[m]), (float(x[i]), complex(r[j] * phase[k])), p[:, i]
 
     for rnd in range(grid.refine_rounds + 1):
         x = _axis(x_ramp, x_lo, x_up)
@@ -260,7 +261,7 @@ def _scan(rows, objective, bound, x_hi: float, grid: GridSpec):
             # the first pass's angles are the whole circle, whose end 2 pi is 0
             phase = np.exp(1j * _axis(t_ramp, t_lo, t_up, endpoint=False))
             seed = int(np.argmax(ring_bound))
-            best_val, _, best_params = first_max(np.array([seed]))
+            best_val, _, best_params, best_col = first_max(np.array([seed]))
         keep = ring_bound > best_val
         if seed >= 0:
             keep[:seed] |= ring_bound[:seed] == best_val
@@ -270,9 +271,9 @@ def _scan(rows, objective, bound, x_hi: float, grid: GridSpec):
         if ids.size:
             if phase is None:
                 phase = np.exp(1j * _axis(t_ramp, t_lo, t_up))
-            val, ring, params = first_max(ids)
+            val, ring, params, col = first_max(ids)
             if val > best_val or val == best_val and ring < seed:
-                best_val, best_params = val, params
+                best_val, best_params, best_col = val, params, col
 
         x_c, z_c = best_params
         r_c, t_c = abs(z_c), math.atan2(z_c.imag, z_c.real) % two_pi
@@ -283,7 +284,7 @@ def _scan(rows, objective, bound, x_hi: float, grid: GridSpec):
         half = (t_up - t_lo) * grid.refine_shrink / 2.0
         t_lo, t_up = t_c - half, t_c + half
 
-    return best_val, best_params, (grid.refine_rounds + 1) * n * rs * ts
+    return best_val, best_params, best_col
 
 
 def _zeta3_grid(zeta3_mode: str, grid: GridSpec) -> np.ndarray:
@@ -323,7 +324,7 @@ def _objective(functional: FunctionalId, grid: GridSpec, mode: str, zeta3_mode: 
 
     Returns ``(rows, objective, bound, depth, zeta3_at)``: ``bound`` is the
     ring bound (``+inf`` for the oracles), ``depth`` counts the ``zeta3``
-    points per grid node, and ``zeta3_at(x, zeta)`` is the ``zeta3`` at
+    points per grid node, and ``zeta3_at(column, zeta)`` is the ``zeta3`` at
     which the objective's value is attained, ``None`` for a form without
     ``zeta3``.  ``rows(x)`` evaluates the coefficient table of
     ``_FORMS[functional]`` once per pass, bit-equal to ``cth._coeffs``, and
@@ -334,7 +335,8 @@ def _objective(functional: FunctionalId, grid: GridSpec, mode: str, zeta3_mode: 
     Toeplitz max runs no scan), is ``|alpha| + beta``, bounded by ``|c0| +
     |c1| r + |c2| r^2 + beta`` plus :data:`_BOUND_MARGIN`; its oracles keep
     a running maximum of ``|alpha + beta zeta3|`` over their ``zeta3``
-    points.  ``zeta3_at`` works in scalars, bit-equal to ``rows([x])``.
+    points.  ``zeta3_at`` splits the rows column :func:`_scan` returns as
+    the objectives do.
     """
     table, beta_x, _, _ = _FORMS[functional]
     coeffs = cth._coeff_rows(table)
@@ -353,12 +355,6 @@ def _objective(functional: FunctionalId, grid: GridSpec, mode: str, zeta3_mode: 
     def split(p, r, z):
         return cth._quadratic(p, z), beta(p, r)
 
-    def split_at(x, z):
-        # one Hankel point, op for op as split reads the column rows([x]), in
-        # NumPy scalars, whose float-complex products are the arrays'
-        x = np.float64(x)
-        return cth._quadratic(cth._coeffs(table, x), z), beta_x(x) * cth._beta_r(abs(z))
-
     if mode == "max" and zeta3_mode != "exact":
         z3_grid = _zeta3_grid(zeta3_mode, grid)
 
@@ -366,8 +362,8 @@ def _objective(functional: FunctionalId, grid: GridSpec, mode: str, zeta3_mode: 
             alpha, b = split(p, r, z)
             return reduce(np.maximum, (np.abs(alpha + b * z3) for z3 in z3_grid))
 
-        def oracle_zeta3(x, z):
-            alpha, b = split_at(x, z)
+        def oracle_zeta3(p, z):
+            alpha, b = split(p, abs(z), z)
             return z3_grid[int(np.argmax(np.abs(alpha + b * z3_grid)))]
 
         return rows, oracle, _unbounded, z3_grid.size, oracle_zeta3
@@ -391,8 +387,8 @@ def _objective(functional: FunctionalId, grid: GridSpec, mode: str, zeta3_mode: 
             block[3] = cth._beta_r(r)
         return moduli.T @ block
 
-    def zeta3_at(x, z):
-        alpha, b = (complex(v) for v in split_at(x, z))
+    def zeta3_at(p, z):
+        alpha, b = (complex(v) for v in split(p, abs(z), z))
         if alpha == 0.0 or b == 0.0:
             return 1.0 if mode == "max" else 0.0
         # the unit phase lining beta zeta3 (beta > 0) up with alpha; the minimum
@@ -418,19 +414,18 @@ def _report(functional, grid: GridSpec, mode: str, seed: int,
     elif not isinstance(grid, GridSpec):
         raise DomainViolation(f"grid = {grid!r} is not a GridSpec")
     table, beta_x, x_hi, (x_name, z_name) = _FORMS[functional]
+    samples = (grid.refine_rounds + 1) * grid.zeta1_steps * grid.radial_steps * grid.angular_steps
     if mode == "max" and beta_x is None:
         # the Toeplitz majorant peaks at the corner, the node a scan of the
-        # grid reports; samples still count the grid's nodes, as _scan does
-        val, x, z = cth._majorant(table, x_hi, 1.0), x_hi, 1 + 0j
-        depth, zeta3_at = 1, None
-        nodes = ((grid.refine_rounds + 1) * grid.zeta1_steps
-                 * grid.radial_steps * grid.angular_steps)
+        # grid reports; samples count the grid's nodes all the same
+        val, x, z, zeta3_at = cth._majorant(table, x_hi, 1.0), x_hi, 1 + 0j, None
     else:
         rows, objective, bound, depth, zeta3_at = _objective(functional, grid, mode, zeta3_mode)
-        val, (x, z), nodes = _scan(rows, objective, bound, x_hi, grid)
+        val, (x, z), column = _scan(rows, objective, bound, x_hi, grid)
+        samples *= depth
     argmax = {x_name: x, f"{z_name}_re": z.real, f"{z_name}_im": z.imag}
     if zeta3_at is not None:
-        z3 = complex(zeta3_at(x, z))
+        z3 = complex(zeta3_at(column, z))
         argmax.update(zeta3_re=z3.real, zeta3_im=z3.imag)
     if mode == "min":
         val = -val
@@ -443,7 +438,7 @@ def _report(functional, grid: GridSpec, mode: str, seed: int,
         argmax=argmax,
         sharp_bound=sharp,
         deviation=sharp - val,
-        samples=nodes * depth,
+        samples=samples,
         seed=seed,
     )
 

@@ -16,9 +16,9 @@ order ``N`` takes about ``log2 N`` convolutions.  Reversion and the
 logarithmic coefficients of the inverse both read the powers of
 ``z / f(z)`` off one Lagrange loop, one matrix-vector product per power.
 
-The kernels ignore floating-point overflow while they run: a coefficient
-that overflows makes the result non-finite, and the :class:`Series` it is
-returned in raises :class:`DomainViolation`.
+The kernels and the arithmetic ignore floating-point overflow while they
+run: a coefficient that overflows makes the result non-finite, and the
+:class:`Series` it is returned in raises :class:`DomainViolation`.
 """
 
 from __future__ import annotations
@@ -136,7 +136,8 @@ class Series:
         if rhs is None:
             return NotImplemented
         n = min(self.order, rhs.order)
-        return Series(self.coeffs[: n + 1] + rhs.coeffs[: n + 1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            return Series(self.coeffs[: n + 1] + rhs.coeffs[: n + 1])
 
     __radd__ = __add__
 
@@ -154,7 +155,8 @@ class Series:
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
-            return Series(self.coeffs * other)
+            with np.errstate(over="ignore", invalid="ignore"):
+                return Series(self.coeffs * other)
         if not isinstance(other, Series):
             return NotImplemented
         n = min(self.order, other.order)
@@ -165,7 +167,8 @@ class Series:
 
     def __truediv__(self, other):
         if isinstance(other, (int, float, complex)):
-            return Series(self.coeffs / other)
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                return Series(self.coeffs / other)
         if not isinstance(other, Series):
             return NotImplemented
         n = min(self.order, other.order)
@@ -237,6 +240,16 @@ def _order(order) -> int:
     return order
 
 
+def _exp_order(order) -> int:
+    """``order`` as :func:`_order` checks it, refused also where the
+    recurrence of :func:`exp_series` takes over ``_MAX_POINTS`` products."""
+    order = _order(order)
+    if order * (order + 1) // 2 > _MAX_POINTS:
+        raise DomainViolation(f"order = {order} needs {order * (order + 1) // 2} products, "
+                              f"at most {_MAX_POINTS}")
+    return order
+
+
 def _zeros(order) -> np.ndarray:
     """The ``order + 1`` zero coefficients of a series of order ``order >= 0``."""
     order = _order(order)
@@ -299,7 +312,8 @@ def differentiate(f: Series) -> Series:
     if f.order == 0:
         return Series([0.0])
     n = np.arange(1, f.order + 1)
-    return Series(f.coeffs[1:] * n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return Series(f.coeffs[1:] * n)
 
 
 def compose(outer: Series, inner: Series) -> Series:
@@ -350,10 +364,11 @@ def log_over_z(f: Series) -> Series:
 
 
 def exp_series(f: Series) -> Series:
-    """Taylor series of ``exp(f)`` for ``f`` with zero constant term."""
+    """Taylor series of ``exp(f)`` for ``f`` with zero constant term; its
+    recurrence's ``n (n + 1) / 2`` products cap the order at 1413."""
     if f.coeffs[0] != 0:
         raise NonzeroConstant("exp_series needs a zero constant term")
-    n = f.order
+    n = _exp_order(f.order)
     out = np.zeros(n + 1, dtype=complex)
     out[0] = 1.0
     # E' = E f'  =>  k E_k = sum_{j=1..k} j f_j E_{k-j}

@@ -301,6 +301,16 @@ def test_classcheck_radii_cap(capsys):
     assert out == ""
     assert "--radii" in err and "at most" in err
 
+
+def test_coeffs_order_past_exp_cap(capsys):
+    # an order past the exp_series cap is an argument error, refused before
+    # any series is built
+    code, out, err = run(capsys, "coeffs", "--preset", "f0", "--order", "1414")
+    assert code == 2
+    assert out == ""
+    assert "at most" in err
+
+
 def test_envelope(capsys):
     code, out, _ = run(capsys, "envelope")
     assert code == 0

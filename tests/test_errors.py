@@ -22,6 +22,7 @@ from petalstar import (
     disk_objective,
     envelope_inner,
     envelope_outer,
+    exp_series,
     hankel_det,
     inv_log_coeffs,
     log_coeffs,
@@ -160,24 +161,39 @@ def test_sample_grid_caps():
     assert class_check(short, [0.5], cap // 2).samples == cap // 2
 
 
-@pytest.mark.parametrize("build", [
-    Series.zero,
-    Series.one,
-    Series.identity,
-    lambda order: SchlichtSeries.from_tail([0.5], order=order),
-    lambda order: asinh_series(1.0, 1, order),
-    lambda order: build_extremal(PRESETS["f1"], order),
-    lambda order: preset("f0", order),
-], ids=["zero", "one", "identity", "from_tail", "asinh_series", "build_extremal", "preset"])
-def test_series_order_cap(monkeypatch, build):
+_PAST_CAP = _MAX_POINTS + 1
+
+
+@pytest.mark.parametrize("build, order", [
+    (Series.zero, _PAST_CAP),
+    (Series.one, _PAST_CAP),
+    (Series.identity, _PAST_CAP),
+    (lambda order: SchlichtSeries.from_tail([0.5], order=order), _PAST_CAP),
+    (lambda order: asinh_series(1.0, 1, order), _PAST_CAP),
+    (lambda order: build_extremal(PRESETS["f1"], order), _PAST_CAP),
+    (lambda order: preset("f0", order), _PAST_CAP),
+    # exp_series's recurrence takes order (order + 1) / 2 products, over the
+    # cap from order 1414, and the extremal builders run it
+    (lambda order: exp_series(Series.identity(order)), 1414),
+    (lambda order: build_extremal(PRESETS["f1"], order), 1414),
+    (lambda order: preset("f0", order), 1414),
+], ids=["zero", "one", "identity", "from_tail", "asinh_series", "build_extremal", "preset",
+        "exp_series_products", "build_extremal_products", "preset_products"])
+def test_series_order_cap(monkeypatch, build, order):
     # an order past the cap fails before any series is built; the extremal
-    # builders would build asinh_series first, so reaching it fails the test
+    # builders would build asinh_series first and exp_series's products are
+    # np.dot calls, so reaching either fails the test.  The order below a
+    # product cap builds
+    if order < _MAX_POINTS:
+        assert build(order - 1).order == order - 1
+
     def built(*_args):
         raise AssertionError("built a series past the cap")
 
     monkeypatch.setattr(extremal, "asinh_series", built)
+    monkeypatch.setattr(np, "dot", built)
     with pytest.raises(DomainViolation, match="^order = .* at most"):
-        build(_MAX_POINTS + 1)
+        build(order)
 
 
 @pytest.mark.parametrize("lagrange", [

@@ -80,6 +80,8 @@ def test_in_petal():
     assert in_petal(1.0)
     assert in_petal(1.0 + np.arcsinh(0.99))
     assert not in_petal(3.0)
+    # sinh overflows far outside the petal; that is an answer, not a warning
+    assert in_petal(1e300) is False
 
 
 def test_petal_map_image_is_inside():

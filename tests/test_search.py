@@ -207,7 +207,7 @@ def test_exact_zeta3_elimination_pointwise(fid, kernel):
         sampled = float(np.abs(kernel(z1, z2, circle)).max())
         assert sampled <= exact + 1e-15
         assert exact - sampled <= 1e-6
-        z3 = complex(zeta3_at(z1, z2))
+        z3 = complex(zeta3_at(_columns(rows, z1), z2))
         assert abs(abs(z3) - 1.0) <= 1e-15
         assert abs(abs(kernel(z1, z2, z3)) - exact) <= 1e-15
 
@@ -237,7 +237,7 @@ def test_exact_zeta3_min_pointwise(fid, kernel):
         sampled = float(np.abs(kernel(x[i, 0], z2[i, j], disk)).min())
         assert least[i, j] <= sampled + 1e-15
         assert sampled - least[i, j] <= 1e-3
-        z3 = 0.0 if zeta3_at is None else complex(zeta3_at(x[i, 0], z2[i, j]))
+        z3 = 0.0 if zeta3_at is None else complex(zeta3_at(_columns(rows, x[i, 0]), z2[i, j]))
         assert abs(z3) <= 1.0 + 1e-15
         assert abs(abs(kernel(x[i, 0], z2[i, j], z3)) - least[i, j]) <= 1e-15
 
@@ -426,9 +426,11 @@ _MAJORANT_GRIDS = {
 def test_toeplitz_max_is_majorant_scan(grid_name):
     # a Toeplitz max reads the majorant at its corner instead of scanning
     # it; an unpruned scan of the majorant, the absolute-value table's rows,
-    # gives the same value, argmax and node count byte for byte, and each of
-    # its passes' rows is cth._coeffs of that table, bit for bit
+    # gives the same value and argmax byte for byte, the report counts its
+    # grid nodes, and each of its passes' rows, the argmax's column
+    # included, is cth._coeffs of that table, bit for bit
     grid = _MAJORANT_GRIDS[grid_name]
+    nodes = (grid.refine_rounds + 1) * grid.zeta1_steps * grid.radial_steps * grid.angular_steps
 
     def majorant(p, r, _z):
         return cth._quadratic(p, r)
@@ -441,10 +443,11 @@ def test_toeplitz_max_is_majorant_scan(grid_name):
             seen.append((x, coeffs(x)))
             return seen[-1][1]
 
-        val, (p1, z), nodes = search._scan(rows, majorant, search._unbounded, 2.0, grid)
+        val, (p1, z), column = search._scan(rows, majorant, search._unbounded, 2.0, grid)
         assert len(seen) == grid.refine_rounds + 1
         for x, p in seen:
             assert _bits(p) == _bits(cth._coeffs(table, x))
+        assert _bits(column) == _bits(cth._coeffs(table, np.array([p1])))
         rep = maximize(fid, grid)
         assert (json.dumps([rep.observed_max, rep.argmax, rep.samples])
                 == json.dumps([val, {"p1": p1, "zeta_re": z.real, "zeta_im": z.imag}, nodes]))
@@ -455,13 +458,15 @@ def test_toeplitz_max_is_majorant_scan(grid_name):
 def test_toeplitz_modulus_max_pruning(grid_name):
     # the max objective and ring bound _objective builds for a Toeplitz form,
     # whose three rows take the radius block (1, r, r^2), prune a modulus
-    # max scan to the unpruned one byte for byte
+    # max scan to the unpruned one byte for byte, the argmax's rows column
+    # included
     grid = _PRUNING_GRIDS[grid_name]
     for fid in (FunctionalId.TOEPLITZ_LOG, FunctionalId.TOEPLITZ_INVLOG):
         rows, objective, bound, _, _ = _objective(fid, grid, "max", "exact")
-        got = [search._scan(rows, objective, b, 2.0, grid) for b in (bound, search._unbounded)]
-        pruned, unpruned = (json.dumps([v, x, z.real, z.imag, nodes]) for v, (x, z), nodes in got)
+        pruned, unpruned = (_scan_bits(rows, objective, b, 2.0, grid)
+                            for b in (bound, search._unbounded))
         assert pruned == unpruned
+        assert pruned[2] == _bits(cth._coeffs(search._FORMS[fid][0], np.array([pruned[1][0]])))
 
 
 _RNG_ZETA3 = np.random.default_rng(SEED + 67)
@@ -488,15 +493,19 @@ def _complex_bits(v):
 @pytest.mark.parametrize("mode", ["max", "min"])
 @pytest.mark.parametrize("fid", [FunctionalId.HANKEL_LOG, FunctionalId.HANKEL_INVLOG])
 def test_zeta3_at_matches_column_path(fid, mode):
-    # a report's zeta3, taken in scalar arithmetic, is bit for bit the one
-    # read off the one-column rows rows([x]), the array path of the scan
-    # passes, signed zeros included, at random points and on the faces; so
-    # is the boundary oracle's
+    # a report's zeta3, read off a rows column as the scan passes hand it
+    # over, is bit for bit the phase (and, for the minimum, the length) of
+    # the split alpha + beta zeta3 of that column, signed zeros included, at
+    # random points and on the faces; so is the boundary oracle's.  The
+    # column of a one-point axis is bit for bit that of a longer axis
     rows, _, _, _, zeta3_at = _objective(fid, GridSpec(), mode, "exact")
     oracle_zeta3 = _objective(fid, GridSpec(), "max", "boundary")[4]
     z3_grid = search._zeta3_grid("boundary", GridSpec())
-    for x, z in _zeta3_points():
+    points = _zeta3_points()
+    axis = rows(np.array([x for x, _ in points]))
+    for i, (x, z) in enumerate(points):
         p = rows(np.array([x]))[:, 0]
+        assert _bits(p) == _bits(axis[:, i])
         alpha, b = cth._quadratic(p, z), p[3] * cth._beta_r(abs(z))
         a, c = complex(alpha), complex(b)
         if a == 0.0 or c == 0.0:
@@ -505,16 +514,23 @@ def test_zeta3_at_matches_column_path(fid, mode):
             want = a / abs(a)
             if mode == "min":
                 want = -want * min(abs(a) / abs(c), 1.0)
-        assert _complex_bits(zeta3_at(x, z)) == _complex_bits(want)
+        assert _complex_bits(zeta3_at(axis[:, i], z)) == _complex_bits(want)
         if mode == "max":
             want = z3_grid[int(np.argmax(np.abs(alpha + b * z3_grid)))]
-            assert _complex_bits(oracle_zeta3(x, z)) == _complex_bits(want)
+            assert _complex_bits(oracle_zeta3(axis[:, i], z)) == _complex_bits(want)
 
 
 def _x_rows(x):
     """The rows of a hand-written objective and bound: the ``x`` axis alone,
     which they read back as ``x = p[0]``."""
     return x[None]
+
+
+def _scan_bits(*args):
+    """``search._scan(*args)`` with its rows column as bytes, comparable
+    with ``==``."""
+    val, params, column = search._scan(*args)
+    return val, params, _bits(column)
 
 
 def test_pruning_keeps_earlier_ties():
@@ -529,9 +545,9 @@ def test_pruning_keeps_earlier_ties():
         return (r == 1.0) * np.where(x == 1.0, 2.0, 1.0)
 
     grid = GridSpec(zeta1_steps=3, radial_steps=2, angular_steps=2, refine_rounds=0)
-    pruned = search._scan(_x_rows, objective, bound, 1.0, grid)
-    unpruned = search._scan(_x_rows, objective, search._unbounded, 1.0, grid)
-    assert pruned == unpruned == (1.0, (0.0, 1.0), 12)
+    pruned = _scan_bits(_x_rows, objective, bound, 1.0, grid)
+    unpruned = _scan_bits(_x_rows, objective, search._unbounded, 1.0, grid)
+    assert pruned == unpruned == (1.0, (0.0, 1.0), _bits([0.0]))
 
 
 def test_pruning_refine_tie_keeps_incumbent():
@@ -544,11 +560,11 @@ def test_pruning_refine_tie_keeps_incumbent():
         return np.where((r == 1.0) & (x >= 0.8), 1.0, 0.0)
 
     grid = GridSpec(zeta1_steps=3, radial_steps=2, angular_steps=2, refine_rounds=1)
-    want = (1.0, (1.0, 1.0 + 0.0j), 24)
+    want = (1.0, (1.0, 1.0 + 0.0j), _bits([1.0]))
     for height in (1.0, 2.0, math.inf):
         def bound(p, r):
             return np.where(r == 1.0, height, 0.0)
-        assert search._scan(_x_rows, objective, bound, 1.0, grid) == want
+        assert _scan_bits(_x_rows, objective, bound, 1.0, grid) == want
 
 
 def test_self_bounded_refine_beats_first_pass():
@@ -562,9 +578,10 @@ def test_self_bounded_refine_beats_first_pass():
     grid = GridSpec(zeta1_steps=5, radial_steps=4, angular_steps=3, refine_rounds=2)
     first = search._scan(_x_rows, peak, peak, 1.0,
                          dataclasses.replace(grid, refine_rounds=0))
-    got = search._scan(_x_rows, peak, peak, 1.0, grid)
+    got = _scan_bits(_x_rows, peak, peak, 1.0, grid)
     assert got[0] > first[0]
-    assert got == search._scan(_x_rows, peak, search._unbounded, 1.0, grid)
+    assert got == _scan_bits(_x_rows, peak, search._unbounded, 1.0, grid)
+    assert got[2] == _bits([got[1][0]])
 
 
 def _count_passes(monkeypatch):

@@ -267,7 +267,15 @@ def test_exp_series_matches_coefficient_loop():
     lambda: revert(S(0, 1e-200, 1, 1)),
     lambda: Series.one(3) / S(1, 1e200, 0, 0),
     lambda: log_over_z(SchlichtSeries([0, 1, 1e200, 1e200, 0])),
-], ids=["exp_series", "revert", "division", "log_over_z"])
+    lambda: S(1, 2, 3) / 0,
+    lambda: S(1e308, 2, 3) * 10,
+    lambda: S(1e308, 2, 3) / 1e-300,
+    lambda: S(1e308, 2, 3) + 1e308,
+    lambda: S(1e308, 2, 3) - (-1e308),
+    lambda: differentiate(S(0, 1e308, 1e308)),
+], ids=["exp_series", "revert", "division", "log_over_z", "scalar_zero_division",
+        "scalar_product", "scalar_division", "scalar_sum", "scalar_difference",
+        "differentiate"])
 def test_overflow_raises_domain_violation_only(call):
     # the suite turns warnings into errors, so an overflow warning printed on
     # the way to the DomainViolation would fail here
