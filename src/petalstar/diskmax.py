@@ -4,7 +4,19 @@ For real ``(A, B, C)`` the maximum has a closed piecewise form; the branch
 depends on the sign of ``A C`` and on how ``B^2`` compares with a handful of
 expressions in ``|A|, |B|, |C|``.  :func:`quad_disk_max` implements that
 formula; :func:`quad_disk_max_grid` is an independent polar-grid oracle used
-to certify every branch numerically.
+to certify every branch numerically (Choi, Kim & Sugawa, J. Math. Soc.
+Japan 59, 2007, give the case analysis).
+
+The oracle evaluates every node of the upper half polar grid in real
+arithmetic.  On the ring ``|z| = r`` with ``x = cos t``,
+
+    |A + B z + C z^2|^2 = K + L x + M x^2,
+    K = (A - C r^2)^2 + (B r)^2,  L = 2 B r (A + C r^2),  M = 4 A C r^2,
+
+so each block of whole rings is one matrix product of the ``(K, L, M)``
+rows with the grid's rows ``(1, x, x^2)``, and the square root is taken
+once per ring, of its largest value.  The identity shares no branch logic
+with the closed form, so the oracle stays an independent check.
 
 Ties on branch boundaries resolve to the first branch listed; adjacent
 branches agree there (continuity), which the oracle agreement test confirms.
@@ -75,26 +87,34 @@ def quad_disk_max(a: float, b: float, c: float) -> float:
     return (ac + aa) * float(np.sqrt(1.0 - b * b / (4.0 * a * c)))
 
 
-#: Grid points per block of the oracle.  A complex block stays under 128 KiB,
-#: glibc's default mmap threshold, so the block temporaries are reused from
-#: the heap; whole-grid temporaries can be mapped and page-faulted in afresh
-#: on every call (about 1,400 faults per 600 x 600 call in a fresh process).
-_ORACLE_BLOCK = 8000
+#: Grid nodes per block of the oracle.  A block of real values stays under
+#: 128 KiB, glibc's default mmap threshold, so the block temporaries are
+#: reused from the heap; whole-grid temporaries can be mapped and
+#: page-faulted in afresh on every call.
+_ORACLE_BLOCK = 16000
 
 
 @lru_cache(maxsize=1)
 def _polar_grid(radial: int, angular: int):
-    """The upper half ``0 <= t <= pi`` of the polar grid: its angles
-    ``2 pi k / angular`` are closed under conjugation, and for real
+    """The radii ``r``, their weights ``1 - r^2`` and the rows ``(1, x, x^2)``,
+    ``x = cos t``, of the upper half ``0 <= t <= pi`` of the polar grid.  Its
+    angles ``2 pi k / angular`` are closed under conjugation, and for real
     coefficients the objective takes the same value at ``z`` and at
     ``conj(z)``, so the half grid has the full grid's maximum.  Only the
-    last grid is kept: callers repeat one grid, and a grid near the size
-    cap holds about 20 MiB."""
-    r = np.linspace(0.0, 1.0, radial)[:, None]
-    t = np.linspace(0.0, 2.0 * np.pi, angular, endpoint=False)[None, : angular // 2 + 1]
-    z = (r * np.exp(1j * t)).ravel()
-    weight = np.broadcast_to(1.0 - r * r, (radial, t.size)).ravel()
-    return z, z * z, weight
+    last grid is kept: callers repeat one grid, and one of 600 x 600 holds
+    about 12 KB."""
+    r = np.linspace(0.0, 1.0, radial)
+    x = np.cos(np.linspace(0.0, 2.0 * np.pi, angular, endpoint=False)[: angular // 2 + 1])
+    return r, 1.0 - r * r, np.stack((np.ones_like(x), x, x * x))
+
+
+def _ring_quadratic(a: float, b: float, c: float, r):
+    """The ``(K, L, M)`` rows, one per radius ``r``, of the ring identity
+    ``|a + b z + c z^2|^2 = K + L x + M x^2`` at ``z = r e^{it}``,
+    ``x = cos t``; ``K`` is a sum of squares, so it is never negative."""
+    r2 = r * r
+    cr2, br = c * r2, b * r
+    return np.stack(((a - cr2) ** 2 + br * br, 2.0 * br * (a + cr2), 4.0 * a * c * r2), axis=1)
 
 
 @_finite
@@ -107,10 +127,22 @@ def quad_disk_max_grid(a: float, b: float, c: float,
     if radial < 2 or angular < 4 or radial * angular > _MAX_POINTS:
         raise DomainViolation(f"grid needs radial >= 2, angular >= 4 and radial * angular "
                               f"at most {_MAX_POINTS}")
-    z, z2, weight = _polar_grid(radial, angular)
-    best = -np.inf
-    with np.errstate(over="ignore"):  # only the sums overflow, to inf
-        for s in range(0, z.size, _ORACLE_BLOCK):
-            block = slice(s, s + _ORACLE_BLOCK)
-            best = max(best, float((np.abs(a + b * z[block] + c * z2[block]) + weight[block]).max()))
-    return best
+    r, weight, powers = _polar_grid(radial, angular)
+    # a power-of-two scale is exact: the squares in K stay finite wherever
+    # |a + b z + c z^2| does, and no value short of overflow or underflow
+    # changes by a bit
+    e = math.frexp(max(abs(a), abs(b), abs(c)))[1]
+    klm = _ring_quadratic(math.ldexp(a, -e), math.ldexp(b, -e), math.ldexp(c, -e), r)
+    # blocks of whole rings, and of part rings only where one ring is wider
+    cols = powers.shape[1]
+    width = min(cols, _ORACLE_BLOCK)
+    rings = _ORACLE_BLOCK // width
+    peaks = np.empty((-(-cols // width), radial))
+    for j, u in enumerate(range(0, cols, width)):
+        rows = powers[:, u : u + width]
+        for s in range(0, radial, rings):
+            np.max(klm[s : s + rings] @ rows, axis=1, out=peaks[j, s : s + rings])
+    # sqrt and + weight are monotone, so each ring's peak gives its maximum;
+    # only the scale back overflows, to inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float((np.ldexp(np.sqrt(np.maximum(peaks, 0.0)), e) + weight).max())

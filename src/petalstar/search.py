@@ -126,9 +126,10 @@ class GridSpec:
     local passes rescan a window around the incumbent whose width shrinks
     by ``refine_shrink`` each round.  Step counts and ``refine_rounds`` are
     integers; NumPy integers are stored as Python ints.  Neither
-    ``zeta1_steps * radial_steps``, the rings a pass bounds, nor
-    ``radial_steps * angular_steps``, the most points one pass evaluates at
-    one ``x``, may exceed ``_MAX_POINTS``.
+    ``(refine_rounds + 1) * zeta1_steps * radial_steps``, the rings all
+    passes bound, nor ``radial_steps * angular_steps``, the most points one
+    pass evaluates at one ``x``, may exceed ``_MAX_POINTS``; the default
+    grid allows 120 refine rounds.
     """
 
     zeta1_steps: int = 201
@@ -144,12 +145,13 @@ class GridSpec:
             object.__setattr__(self, name, _count(getattr(self, name), name))
         if min(self.zeta1_steps, self.radial_steps, self.angular_steps) < 2:
             raise DomainViolation("all step counts must be >= 2")
-        if max(self.zeta1_steps, self.angular_steps) * self.radial_steps > _MAX_POINTS:
-            raise DomainViolation(
-                f"zeta1_steps * radial_steps and radial_steps * angular_steps "
-                f"must be at most {_MAX_POINTS}")
         if self.refine_rounds < 0:
             raise DomainViolation("refine_rounds must be >= 0")
+        passes = self.refine_rounds + 1
+        if max(passes * self.zeta1_steps, self.angular_steps) * self.radial_steps > _MAX_POINTS:
+            raise DomainViolation(
+                f"(refine_rounds + 1) * zeta1_steps * radial_steps and "
+                f"radial_steps * angular_steps must be at most {_MAX_POINTS}")
         if not 0.0 < self.refine_shrink < 1.0:
             raise DomainViolation("refine_shrink must lie in (0, 1)")
 

@@ -117,8 +117,16 @@ class Series:
         return f"Series(order={self.order}, coeffs={np.round(self.coeffs, 12)!r})"
 
     def __call__(self, z):
-        """Evaluate the polynomial at ``z``, a number or an array (Horner)."""
-        return np.polyval(self.coeffs[::-1], z)
+        """Evaluate the polynomial at ``z``, a number or an array (Horner).
+        A value that is not finite, as far outside the disk of convergence,
+        raises :class:`DomainViolation`."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = np.polyval(self.coeffs[::-1], z)
+        finite = np.isfinite(value)
+        if not finite.all():
+            at = np.broadcast_to(z, finite.shape)[~finite][0]
+            raise DomainViolation(f"the order-{self.order} series is not finite at z = {at}")
+        return value
 
     # -- ring operations ----------------------------------------------------
 

@@ -208,6 +208,15 @@ def test_verify_oversized_grid_is_argument_error(capsys):
     assert "at most" in err
 
 
+def test_verify_refine_rounds_cap_is_argument_error(capsys):
+    # refused before the first pass: 1000 rounds of the default grid would
+    # bound 8 million rings
+    code, out, err = run(capsys, "verify", "--refine-rounds", "1000")
+    assert code == 2
+    assert out == ""
+    assert "refine_rounds" in err and "at most" in err
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1"])
 def test_verify_bad_tol_is_argument_error(capsys, tol):
     code, out, err = run(capsys, "verify", "--functional", "toeplitz-log",

@@ -159,3 +159,62 @@ def test_oracle_agreement_every_branch():
             d = abs(quad_disk_max(a[i], b[i], c[i]) - quad_disk_max_grid(a[i], b[i], c[i]))
             assert d <= 5e-3, (k, a[i], b[i], c[i], d)
     assert _branch(0.908, -3.94, -0.036) == 4
+
+
+def oracle_complex(a, b, c, radial=600, angular=600):
+    """The oracle's kernel before the ring identity: the objective in complex
+    arithmetic at every node of the upper half polar grid."""
+    r = np.linspace(0.0, 1.0, radial)[:, None]
+    t = np.linspace(0.0, 2.0 * np.pi, angular, endpoint=False)[None, : angular // 2 + 1]
+    z = r * np.exp(1j * t)
+    return float((np.abs(a + b * z + c * (z * z)) + (1.0 - r * r)).max())
+
+
+def test_ring_identity_matches_complex_kernel():
+    # the same draws as test_oracle_agreement_every_branch, ten per return
+    rng = np.random.default_rng(SEED + 34)
+    n = 2000
+    a = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3.0, 0.5, n)
+    b = rng.uniform(-5.0, 5.0, n)
+    c = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-2.0, 0.5, n)
+    branches = np.array([_branch(*abc) for abc in zip(a, b, c)])
+    triples = [(a[i], b[i], c[i]) for k in range(7) for i in np.flatnonzero(branches == k)[:10]]
+    assert len(triples) == 70
+    triples += [
+        (0.0, 1.3, -0.4), (0.0, -2.0, 0.7),  # a = 0: M vanishes
+        (1.2, 0.0, -0.6), (-0.3, 0.0, 0.9),  # b = 0: L vanishes
+        (1.0, 0.5, 1e-200), (1.0, 0.5, -1e-200), (-0.4, 1.7, -1e-200),
+        (0.0, 0.0, 1.0), (0.0, 0.0, -1.0),  # every ring ties at 1
+        (1e150, -2e150, 5e149), (-3e149, 1e150, 2e150),
+        # past 1e154 the unscaled squares in K would overflow
+        (1e200, -3e199, 2e200), (1e300, 0.0, 1e-300),
+    ]
+    for abc in triples:
+        want = oracle_complex(*abc)
+        assert abs(quad_disk_max_grid(*abc) - want) <= 4 * np.spacing(want), abc
+
+
+def test_ring_identity_wide_rings():
+    # a half ring wider than one block splits into part rings; the first
+    # triple's maximum sits at t = pi, in the last part
+    assert 40000 // 2 + 1 > diskmax._ORACLE_BLOCK
+    for abc in [(0.3, -1.1, 0.8), (-0.5, 0.2, 1.4)]:
+        for radial, angular in [(3, 40000), (2, 2 * diskmax._ORACLE_BLOCK + 6)]:
+            want = oracle_complex(*abc, radial, angular)
+            got = quad_disk_max_grid(*abc, radial, angular)
+            assert abs(got - want) <= 4 * np.spacing(want), (abc, radial, angular)
+
+
+def test_ring_quadratic_at_random_nodes():
+    # K + L x + M x^2 is |a + b z + c z^2|^2 at z = r e^{it}, x = cos t
+    rng = np.random.default_rng(SEED + 35)
+    for scale in (1e-3, 1.0, 1e3):
+        a, b, c = scale * rng.uniform(-2, 2, 3)
+        r, t = rng.uniform(0, 1, 200), rng.uniform(0, 2 * np.pi, 200)
+        z = r * np.exp(1j * t)
+        x = np.cos(t)
+        k, l, m = diskmax._ring_quadratic(a, b, c, r).T
+        assert (k >= 0).all()
+        want = np.abs(a + b * z + c * z * z) ** 2
+        tol = 16 * np.finfo(float).eps * (abs(a) + abs(b) + abs(c)) ** 2
+        np.testing.assert_allclose(k + l * x + m * x * x, want, rtol=0, atol=tol)

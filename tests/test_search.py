@@ -77,8 +77,22 @@ def test_gridspec_caps_pass_size():
     # the default grid, the largest reference grid and grids at the cap pass
     assert min(cap // 201 // 41, cap // 301 // 61) >= 50
     for fields in ({}, {"zeta1_steps": 301, "radial_steps": 61, "angular_steps": 96},
-                   {"zeta1_steps": cap // 41, "angular_steps": cap // 41}):
+                   {"zeta1_steps": cap // 41, "angular_steps": cap // 41, "refine_rounds": 0}):
         GridSpec(**fields)
+
+
+def test_gridspec_caps_refine_rounds():
+    # every pass bounds zeta1_steps * radial_steps rings, so the passes of
+    # all refine rounds together may bound at most _MAX_POINTS of them; the
+    # default grid allows 120 rounds, and a count far past that fails at
+    # construction, before any pass runs
+    assert (120 + 1) * 201 * 41 <= search._MAX_POINTS < (121 + 1) * 201 * 41
+    assert GridSpec(refine_rounds=120).refine_rounds == 120
+    for rounds in (121, 10 ** 6, 10 ** 30):
+        with pytest.raises(DomainViolation, match="refine_rounds"):
+            GridSpec(refine_rounds=rounds)
+    with pytest.raises(DomainViolation, match="at most"):
+        GridSpec(zeta1_steps=search._MAX_POINTS // 41, refine_rounds=1)
 
 
 @pytest.mark.parametrize("field", ["zeta1_steps", "radial_steps", "angular_steps",

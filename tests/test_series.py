@@ -7,7 +7,7 @@ import pytest
 
 from conftest import SEED, random_schlicht, residual
 from petalstar import SchlichtSeries, Series, asinh_series, compose, differentiate
-from petalstar import exp_series, integrate_over_t, log_over_z, revert, rotate
+from petalstar import exp_series, integrate_over_t, log_over_z, preset, revert, rotate
 from petalstar.errors import (
     DomainViolation,
     NonzeroConstant,
@@ -370,6 +370,17 @@ def test_eval_array_matches_points():
     assert vals.shape == z.shape
     for zi, vi in zip(z.ravel(), vals.ravel()):
         assert abs(f(complex(zi)) - vi) <= 1e-15
+
+
+@pytest.mark.parametrize("z", [1e200, 1e200j, np.array([0.5, 1e300]), float("nan")],
+                         ids=["overflow", "imaginary", "array", "nan"])
+def test_eval_non_finite_raises(z):
+    # far outside the disk the Horner sums overflowed, with two
+    # RuntimeWarnings, and the value came back as nan+nanj
+    f = preset("f0", 5)
+    with pytest.raises(DomainViolation, match="not finite at z = "):
+        f(z)
+    assert f(np.array([0.5, 2.0])).shape == (2,)
 
 
 def test_serialization_roundtrip():
