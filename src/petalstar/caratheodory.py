@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainViolation, EndpointSingularity
+from .errors import DomainViolation, EndpointSingularity, _finite
 
 __all__ = [
     "CaratheodoryPoint",
@@ -136,6 +136,7 @@ def p_from_zeta(point: CaratheodoryPoint) -> tuple:
     return (complex(p1), complex(p2), complex(p3))
 
 
+@_finite
 def a_from_p(p) -> tuple:
     """Function coefficients ``(a2, a3, a4)`` induced by ``(p1, p2, p3)``."""
     p1, p2, p3 = p
@@ -207,6 +208,7 @@ def _majorant(table, x, t):
 # -- Hankel functionals in p- and zeta-variables ------------------------------
 
 
+@_finite
 def hankel_log_from_p(p) -> complex:
     """``g1 g3 - g2^2`` as a polynomial in the positive-real-part coefficients."""
     p1, p2, p3 = p
@@ -215,6 +217,7 @@ def hankel_log_from_p(p) -> complex:
     )
 
 
+@_finite
 def hankel_invlog_from_p(p) -> complex:
     """``G1 G3 - G2^2`` as a polynomial in the positive-real-part coefficients."""
     p1, p2, p3 = p
@@ -257,6 +260,7 @@ def hankel_invlog_from_zeta(point: CaratheodoryPoint) -> complex:
 # -- Toeplitz functionals and their two-parameter reduction -------------------
 
 
+@_finite
 def toeplitz_log_from_p(p1: complex, p2: complex) -> complex:
     """``g1^2 - g2^2`` as a polynomial in ``(p1, p2)``."""
     return complex(
@@ -264,6 +268,7 @@ def toeplitz_log_from_p(p1: complex, p2: complex) -> complex:
     )
 
 
+@_finite
 def toeplitz_invlog_from_p(p1: complex, p2: complex) -> complex:
     """``G1^2 - G2^2`` as a polynomial in ``(p1, p2)``."""
     return complex(
@@ -271,6 +276,7 @@ def toeplitz_invlog_from_p(p1: complex, p2: complex) -> complex:
     )
 
 
+@_finite
 def reduced_p2(p1, zeta):
     """The second coefficient after eliminating ``zeta1``:
     ``p2 = (p1^2 + (4 - p1^2) zeta) / 2`` with ``|zeta| <= 1``."""
@@ -332,15 +338,14 @@ def toeplitz_invlog_majorant(p1, t):
 # -- case analysis for the inverse-Hankel sharp bound --------------------------
 
 
+@_finite
 def disk_objective(abc: ABCTriple, zeta2: complex) -> float:
     """``|A + B z + C z^2| + 1 - |z|^2`` evaluated at ``z = zeta2``.
 
     This is the quantity whose maximum over the closed disk the piecewise
-    formula in :mod:`petalstar.diskmax` computes.  A non-finite triple entry
-    raises :class:`DomainViolation`.
+    formula in :mod:`petalstar.diskmax` computes.  A non-finite triple entry,
+    or one whose value overflows, raises :class:`DomainViolation`.
     """
-    if not np.isfinite(abc).all():
-        raise DomainViolation(f"triple {tuple(abc)} is not finite")
     _check_in_disk("zeta2", zeta2)
     a, b, c = abc
     return float(abs(a + b * zeta2 + c * zeta2 * zeta2) + 1.0 - abs(zeta2) ** 2)
@@ -382,13 +387,16 @@ def abc_hankel_invlog(zeta1: float) -> ABCTriple:
     return _abc_from_alpha(_HANKEL_INVLOG_ALPHA, zeta1)
 
 
+@_finite
 def case_functions(zeta1) -> CaseTable:
     """The six discriminants deciding which maximizer branch applies to the
     inverse-Hankel triple at ``zeta1``, a float or an array (a sequence is
     taken as one); an array gives arrays bit-equal to the per-point values.
 
     On (0, 1): t1 > 0, t2 <= 0, t3 > 0, t4 < 0, t5 < 0 throughout, and t6
-    changes sign at :data:`CASE_SPLIT_POINT`.
+    changes sign at :data:`CASE_SPLIT_POINT`.  Below about 1e-154, where
+    ``t3 ~ 9 / (4 zeta1^2)`` overflows, a point raises
+    :class:`DomainViolation`.
     """
     t = zeta1 if np.isscalar(zeta1) else np.asarray(zeta1, dtype=float)
     _check_open_interval(t)
@@ -412,25 +420,21 @@ CASE_SPLIT_POINT = math.sqrt((-57.0 + 6.0 * math.sqrt(157.0)) / 89.0)
 ENVELOPE_INNER_PEAK = math.sqrt(6.0 / 37.0)
 
 
-def _finite_envelope_arg(t):
-    t = np.asarray(t, dtype=float)
-    if not np.isfinite(t).all():
-        raise DomainViolation("envelope argument t is not finite")
-    return t
-
-
+@_finite
 def envelope_inner(t):
     """Upper envelope ``(9 + 12 t^2 - 37 t^4) / 144`` of the inverse-Hankel
     modulus on the low range ``0 < zeta1 <= CASE_SPLIT_POINT``.
 
     Peaks at :data:`ENVELOPE_INNER_PEAK` with value ~ 0.0692568.  Takes a
-    number or an array; a non-finite entry raises :class:`DomainViolation`.
+    number or an array; an entry whose value is not finite, as a non-finite
+    one, raises :class:`DomainViolation`.
     """
-    t = _finite_envelope_arg(t)
+    t = np.asarray(t, dtype=float)
     out = (9.0 + 12.0 * t ** 2 - 37.0 * t ** 4) / 144.0
     return float(out) if out.ndim == 0 else out
 
 
+@_finite
 def envelope_outer(t):
     """Upper envelope on the high range ``CASE_SPLIT_POINT <= zeta1 < 1``:
     ``sqrt((75 - 11 t^2) / (3 + t^2)) (9 - 6 t^2 + 13 t^4) / 576``.
@@ -438,7 +442,7 @@ def envelope_outer(t):
     Equals 45/576 at 0 and exactly 1/9 at 1.  Takes what
     :func:`envelope_inner` takes.
     """
-    t = _finite_envelope_arg(t)
+    t = np.asarray(t, dtype=float)
     out = np.sqrt((75.0 - 11.0 * t ** 2) / (3.0 + t ** 2)) * (
         9.0 - 6.0 * t ** 2 + 13.0 * t ** 4
     ) / 576.0

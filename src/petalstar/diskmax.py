@@ -87,10 +87,11 @@ def quad_disk_max(a: float, b: float, c: float) -> float:
     return (ac + aa) * float(np.sqrt(1.0 - b * b / (4.0 * a * c)))
 
 
-#: Grid nodes per block of the oracle.  A block of real values stays under
-#: 128 KiB, glibc's default mmap threshold, so the block temporaries are
-#: reused from the heap; whole-grid temporaries can be mapped and
-#: page-faulted in afresh on every call.
+#: Grid nodes per block of the oracle, a block being whole rings, at least
+#: one.  A block of real values stays under 128 KiB, glibc's default mmap
+#: threshold, so the block temporaries are reused from the heap; whole-grid
+#: temporaries can be mapped and page-faulted in afresh on every call.  A
+#: half ring wider than the block (``angular >= 32000``) is a block alone.
 _ORACLE_BLOCK = 16000
 
 
@@ -133,15 +134,10 @@ def quad_disk_max_grid(a: float, b: float, c: float,
     # changes by a bit
     e = math.frexp(max(abs(a), abs(b), abs(c)))[1]
     klm = _ring_quadratic(math.ldexp(a, -e), math.ldexp(b, -e), math.ldexp(c, -e), r)
-    # blocks of whole rings, and of part rings only where one ring is wider
-    cols = powers.shape[1]
-    width = min(cols, _ORACLE_BLOCK)
-    rings = _ORACLE_BLOCK // width
-    peaks = np.empty((-(-cols // width), radial))
-    for j, u in enumerate(range(0, cols, width)):
-        rows = powers[:, u : u + width]
-        for s in range(0, radial, rings):
-            np.max(klm[s : s + rings] @ rows, axis=1, out=peaks[j, s : s + rings])
+    rings = max(1, _ORACLE_BLOCK // powers.shape[1])
+    peaks = np.empty(radial)
+    for s in range(0, radial, rings):
+        np.max(klm[s : s + rings] @ powers, axis=1, out=peaks[s : s + rings])
     # sqrt and + weight are monotone, so each ring's peak gives its maximum;
     # only the scale back overflows, to inf
     with np.errstate(over="ignore", invalid="ignore"):

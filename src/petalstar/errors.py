@@ -1,7 +1,13 @@
-"""Exception types raised across the package, and the count check and
-size cap that raise one."""
+"""Exception types raised across the package, and the count check, size
+cap and finiteness guard that raise one."""
 
+import cmath
+import math
 import operator
+import reprlib
+from functools import wraps
+
+import numpy as np
 
 
 class PetalstarError(ValueError):
@@ -54,6 +60,38 @@ def _count(value, name: str) -> int:
         return operator.index(value)
     except TypeError:
         raise DomainViolation(f"{name} = {value!r} is not an integer") from None
+
+
+def _all_finite(value) -> bool:
+    """Whether a number, an array or a tuple of them is finite throughout;
+    :mod:`cmath` checks a number some 100 times faster than NumPy."""
+    if isinstance(value, tuple):
+        return all(map(_all_finite, value))
+    if isinstance(value, (float, complex)):
+        return cmath.isfinite(value)
+    return bool(np.isfinite(value).all())
+
+
+def _finite(fn):
+    """``fn`` raising :class:`DomainViolation` where its value is not
+    finite: where an argument is not, or where the evaluation overflows.
+    Python's ``**`` raises an overflow and ``/`` a zero divisor where NumPy
+    returns inf or NaN; both end here, and NumPy prints no warning."""
+
+    @wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            with np.errstate(all="ignore"):
+                value = fn(*args, **kwargs)
+        except (OverflowError, ZeroDivisionError):
+            value = math.inf
+        if not _all_finite(value):
+            shown = ", ".join(map(reprlib.repr, args))
+            raise DomainViolation(f"{fn.__name__}({shown}) is not finite: an argument "
+                                  f"is not, or the evaluation overflows")
+        return value
+
+    return checked
 
 
 class EndpointSingularity(PetalstarError):

@@ -88,7 +88,7 @@ def build_extremal(spec: ExtremalSpec, order: int = DEFAULT_ORDER) -> SchlichtSe
     try:
         inner = integrate_over_t(asinh_series(spec.c, spec.k, order - 1))
         outer = exp_series(inner)
-    except (OverflowError, DomainViolation):
+    except DomainViolation:
         # c is finite, so a non-finite coefficient here is an overflow
         raise DomainViolation(f"c = {spec.c} overflows the series to order {order}") from None
     coeffs = np.zeros(order + 1, dtype=complex)

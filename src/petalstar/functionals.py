@@ -30,6 +30,7 @@ from .errors import (
     NotInvertibleAtOrigin,
     NotNormalized,
     _count,
+    _finite,
 )
 from .series import _NORM_TOL, SchlichtSeries, Series, _lagrange, log_over_z, rotate
 
@@ -157,6 +158,7 @@ def toeplitz_det(entries, q: int, n: int) -> complex:
 # -- second determinants of the log coefficient sequences ---------------------
 
 
+@_finite
 def hankel2_log(f: SchlichtSeries) -> complex:
     """Second Hankel determinant of the logarithmic coefficients,
     ``g1 g3 - g2^2``, by its closed form in ``a2, a3, a4``."""
@@ -165,6 +167,7 @@ def hankel2_log(f: SchlichtSeries) -> complex:
     return complex((a2 * a4 - a3 ** 2 + a2 ** 4 / 12.0) / 4.0)
 
 
+@_finite
 def hankel2_invlog(f: SchlichtSeries) -> complex:
     """Second Hankel determinant of the inverse logarithmic coefficients."""
     _require_order(f, 4, "hankel2_invlog")
@@ -174,6 +177,7 @@ def hankel2_invlog(f: SchlichtSeries) -> complex:
     )
 
 
+@_finite
 def toeplitz2_log(f: SchlichtSeries) -> complex:
     """Second Toeplitz determinant of the logarithmic coefficients,
     ``g1^2 - g2^2``, by its closed form in ``a2, a3``."""
@@ -184,6 +188,7 @@ def toeplitz2_log(f: SchlichtSeries) -> complex:
     )
 
 
+@_finite
 def toeplitz2_invlog(f: SchlichtSeries) -> complex:
     """Second Toeplitz determinant of the inverse logarithmic coefficients."""
     _require_order(f, 3, "toeplitz2_invlog")

@@ -10,9 +10,11 @@ All four have one shape in the scan variables, ``alpha(x, zeta) + beta(x,
 |zeta|) zeta3``, with ``alpha = c0 + c1 zeta + c2 zeta^2`` read from the
 functional's coefficient table in :mod:`petalstar.caratheodory`.  Over
 ``|zeta3| <= 1`` the modulus peaks at ``|alpha| + beta`` (``zeta3`` lines
-``beta zeta3`` up with ``alpha``) and bottoms out at ``max(|alpha| - beta,
-0)``, so ``zeta3`` is eliminated in closed form, and every minimum scan
-reads that one objective.
+``beta zeta3`` up with ``alpha``), so ``zeta3`` is eliminated in closed
+form.  The bounds are upper bounds; every modulus is 0 at the identity
+function ``f(z) = z``, ``x = 0`` and ``zeta = zeta3 = 0`` (no table's
+``c0`` or ``c1`` has a ``u^0`` term, and ``beta`` has the factor ``x``),
+the first node of every grid, where :func:`minimize_modulus` reads it.
 
 * The two Hankel functionals take ``x = zeta1 in [0, 1]``, ``zeta =
   zeta2`` and ``beta = zeta1 (1 - zeta1^2) (1 - |zeta2|^2) / 12``.
@@ -21,7 +23,7 @@ reads that one objective.
   over a grid of the circle or of the disk in ``zeta3``, and are kept as
   brute-force reference oracles.
 
-* The two Toeplitz functionals are the ``beta = 0`` case, scanned in the
+* The two Toeplitz functionals are the ``beta = 0`` case, in the
   reduced parameters ``(p1, zeta)`` with ``p1 in [0, 2]``; they have no
   ``zeta3``.  Their certified sharp bounds bound the term-wise
   absolute-value majorant of the reduced form, its coefficient table taken
@@ -34,14 +36,12 @@ reads that one objective.
   therefore reads the majorant at the corner instead of scanning it, and
   records so in the report.  The modulus itself stays well below it (its
   maximum over the domain is 1/4 for the log variant); the reduced-form
-  functions in :mod:`petalstar.caratheodory` evaluate it, and
-  :func:`minimize_modulus` scans it for the minima.
+  functions in :mod:`petalstar.caratheodory` evaluate it.
 
-The core only maximizes; :func:`minimize_modulus` scans the negated
-modulus.  Each pass evaluates the functional's coefficient table once on
-its ``x`` axis, and an upper bound on each ``(x, |zeta|)`` ring, read from
-those rows, prunes the rings the pass need not evaluate, whose objective
-reads the same rows; :func:`_scan` states the pass contract and
+So only the two Hankel maxima and their ``zeta3`` oracles scan.  Each pass
+evaluates the functional's coefficient table once on its ``x`` axis, and
+an upper bound on each ``(x, |zeta|)`` ring, read from those rows, prunes
+the rings the pass need not evaluate, whose objective reads the same rows; :func:`_scan` states the pass contract and
 :func:`_objective` builds each scan's rows, objective and bound.  Each
 functional has one record in ``_FORMS`` (table, ``beta``'s ``x`` factor,
 ``x`` range and argmax names) and one path from its identifier to its
@@ -299,8 +299,7 @@ def _zeta3_grid(zeta3_mode: str, grid: GridSpec) -> np.ndarray:
 
 
 def _zero(_p, _r):
-    """Ring bound of the min scans, whose objectives are negated moduli, and
-    the ``beta`` of the Toeplitz forms, which have no ``zeta3``."""
+    """The ``beta`` of the Toeplitz forms, which have no ``zeta3``."""
     return 0.0
 
 
@@ -321,8 +320,8 @@ _FORMS = {
 }
 
 
-def _objective(functional: FunctionalId, grid: GridSpec, mode: str, zeta3_mode: str):
-    """The rows, objective and ring bound of one scan for :func:`_scan`.
+def _objective(functional: FunctionalId, grid: GridSpec, zeta3_mode: str):
+    """The rows, objective and ring bound of one max scan for :func:`_scan`.
 
     Returns ``(rows, objective, bound, depth, zeta3_at)``: ``bound`` is the
     ring bound (``+inf`` for the oracles), ``depth`` counts the ``zeta3``
@@ -332,13 +331,12 @@ def _objective(functional: FunctionalId, grid: GridSpec, mode: str, zeta3_mode: 
     ``_FORMS[functional]`` once per pass, bit-equal to ``cth._coeffs``, and
     for the Hankel forms writes ``beta``'s ``x`` factor as a fourth row;
     every objective reads the form ``alpha + beta zeta3`` from those rows,
-    with ``beta``'s ``r`` factor taken once per ring.  The min objective is
-    ``-max(|alpha| - beta, 0)``, bounded by 0.  The max, a Hankel one (a
-    Toeplitz max runs no scan), is ``|alpha| + beta``, bounded by ``|c0| +
-    |c1| r + |c2| r^2 + beta`` plus :data:`_BOUND_MARGIN`; its oracles keep
-    a running maximum of ``|alpha + beta zeta3|`` over their ``zeta3``
-    points.  ``zeta3_at`` splits the rows column :func:`_scan` returns as
-    the objectives do.
+    with ``beta``'s ``r`` factor taken once per ring.  The objective, a
+    Hankel one (a Toeplitz max runs no scan), is ``|alpha| + beta``, bounded
+    by ``|c0| + |c1| r + |c2| r^2 + beta`` plus :data:`_BOUND_MARGIN`; its
+    oracles keep a running maximum of ``|alpha + beta zeta3|`` over their
+    ``zeta3`` points.  ``zeta3_at`` splits the rows column :func:`_scan`
+    returns as the objectives do.
     """
     table, beta_x, _, _ = _FORMS[functional]
     coeffs = cth._coeff_rows(table)
@@ -357,7 +355,7 @@ def _objective(functional: FunctionalId, grid: GridSpec, mode: str, zeta3_mode: 
     def split(p, r, z):
         return cth._quadratic(p, z), beta(p, r)
 
-    if mode == "max" and zeta3_mode != "exact":
+    if zeta3_mode != "exact":
         z3_grid = _zeta3_grid(zeta3_mode, grid)
 
         def oracle(p, r, z):
@@ -372,11 +370,9 @@ def _objective(functional: FunctionalId, grid: GridSpec, mode: str, zeta3_mode: 
 
     def objective(p, r, z):
         alpha, b = split(p, r, z)
-        if mode == "max":
-            return np.abs(alpha) + b
-        return -np.maximum(np.abs(alpha) - b, 0.0)
+        return np.abs(alpha) + b
 
-    def max_bound(p, r):
+    def bound(p, r):
         # one matrix product of the rows' moduli with the radius block (1, r,
         # r^2 and, for the Hankel rows, beta's r factor); the margin, added to
         # |c0| where a row past it is nonzero, covers its rounding too
@@ -392,14 +388,11 @@ def _objective(functional: FunctionalId, grid: GridSpec, mode: str, zeta3_mode: 
     def zeta3_at(p, z):
         alpha, b = (complex(v) for v in split(p, abs(z), z))
         if alpha == 0.0 or b == 0.0:
-            return 1.0 if mode == "max" else 0.0
-        # the unit phase lining beta zeta3 (beta > 0) up with alpha; the minimum
-        # takes the opposite phase, shortened until beta zeta3 cancels alpha
-        z3 = alpha / abs(alpha)
-        return z3 if mode == "max" else -z3 * min(abs(alpha) / abs(b), 1.0)
+            return 1.0
+        # the unit phase lining beta zeta3 (beta > 0) up with alpha
+        return alpha / abs(alpha)
 
-    return (rows, objective, max_bound if mode == "max" else _zero, 1,
-            None if beta_x is None else zeta3_at)
+    return rows, objective, bound, 1, None if beta_x is None else zeta3_at
 
 
 def _report(functional, grid: GridSpec, mode: str, seed: int,
@@ -417,20 +410,21 @@ def _report(functional, grid: GridSpec, mode: str, seed: int,
         raise DomainViolation(f"grid = {grid!r} is not a GridSpec")
     table, beta_x, x_hi, (x_name, z_name) = _FORMS[functional]
     samples = (grid.refine_rounds + 1) * grid.zeta1_steps * grid.radial_steps * grid.angular_steps
-    if mode == "max" and beta_x is None:
-        # the Toeplitz majorant peaks at the corner, the node a scan of the
-        # grid reports; samples count the grid's nodes all the same
-        val, x, z, zeta3_at = cth._majorant(table, x_hi, 1.0), x_hi, 1 + 0j, None
+    # a minimum (0 at the identity point, the first node) and a Toeplitz max
+    # (the majorant's corner) are read at the node a scan of the grid would
+    # report; samples count the grid's nodes all the same
+    if mode == "min":
+        val, x, z, z3 = 0.0, 0.0, 0j, 0j
+    elif beta_x is None:
+        val, x, z = cth._majorant(table, x_hi, 1.0), x_hi, 1 + 0j
     else:
-        rows, objective, bound, depth, zeta3_at = _objective(functional, grid, mode, zeta3_mode)
+        rows, objective, bound, depth, zeta3_at = _objective(functional, grid, zeta3_mode)
         val, (x, z), column = _scan(rows, objective, bound, x_hi, grid)
+        z3 = complex(zeta3_at(column, z))
         samples *= depth
     argmax = {x_name: x, f"{z_name}_re": z.real, f"{z_name}_im": z.imag}
-    if zeta3_at is not None:
-        z3 = complex(zeta3_at(column, z))
+    if beta_x is not None:
         argmax.update(zeta3_re=z3.real, zeta3_im=z3.imag)
-    if mode == "min":
-        val = -val
     sharp = SHARP_BOUNDS[functional]
     return BoundReport(
         functional=functional.value,
@@ -468,10 +462,13 @@ def maximize(functional: FunctionalId, grid: GridSpec = None, seed: int = 0,
 
 def minimize_modulus(functional: FunctionalId, grid: GridSpec = None,
                      seed: int = 0, threads: int = 1) -> BoundReport:
-    """Scan the same domain for the smallest functional modulus.
+    """Report the smallest functional modulus over the same domain.
 
-    The observed minimum is 0 for all four functionals (the identity
-    function belongs to the class), so the claimed two-sided lower bounds
+    The minimum is 0 for all four functionals, attained at the identity
+    function, which belongs to the class.  It is read, not scanned, at its
+    parameter point ``x = 0``, ``zeta = 0`` (and ``zeta3 = 0``), the first
+    node of every grid, and ``samples`` counts the grid's nodes as for a
+    scan (see the module docstring).  So the claimed two-sided lower bounds
     are not domain-wide facts; they are attained-value statements covered
     by the extremal witnesses instead.  ``threads`` has no effect; it
     remains only for the benchmark's call signature.

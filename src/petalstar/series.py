@@ -114,7 +114,12 @@ class Series:
         return cls(c)
 
     def __repr__(self) -> str:
-        return f"Series(order={self.order}, coeffs={np.round(self.coeffs, 12)!r})"
+        # np.round scales by 1e12 first, which overflows near the top of the
+        # range; such coefficients print unrounded
+        with np.errstate(over="ignore"):
+            shown = np.round(self.coeffs, 12)
+        shown = np.where(np.isfinite(shown), shown, self.coeffs)
+        return f"Series(order={self.order}, coeffs={shown!r})"
 
     def __call__(self, z):
         """Evaluate the polynomial at ``z``, a number or an array (Horner).
@@ -401,17 +406,23 @@ def asinh_series(c: complex, k: int, order: int) -> Series:
     """Taylor series of ``arcsinh(c z^k)`` truncated at ``order``.
 
     Uses the alternating expansion with coefficients
-    ``(2n)! / (4^n (n!)^2 (2n+1))`` on odd powers of ``c z^k``.
+    ``(2n)! / (4^n (n!)^2 (2n+1))`` on odd powers of ``c z^k``.  A ``c``
+    whose powers overflow raises :class:`DomainViolation`.
     """
     if _count(k, "power k") < 1:
         raise DomainViolation("power k must be a positive integer")
     out = _zeros(order)
     coeff = 1.0
     n = 0
-    while (2 * n + 1) * k <= order:
-        out[(2 * n + 1) * k] = coeff * c ** (2 * n + 1)
-        coeff *= -((2 * n + 1) ** 2) / (2.0 * (n + 1) * (2 * n + 3))
-        n += 1
+    # Python's ** raises an overflow; NumPy's returns inf, which Series rejects
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            while (2 * n + 1) * k <= order:
+                out[(2 * n + 1) * k] = coeff * c ** (2 * n + 1)
+                coeff *= -((2 * n + 1) ** 2) / (2.0 * (n + 1) * (2 * n + 3))
+                n += 1
+    except OverflowError:
+        raise DomainViolation(f"c = {c} overflows the series to order {order}") from None
     return Series(out)
 
 

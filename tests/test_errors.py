@@ -18,6 +18,7 @@ from petalstar import (
     Series,
     asinh_series,
     build_extremal,
+    case_functions,
     class_check,
     disk_objective,
     envelope_inner,
@@ -135,11 +136,21 @@ def test_parameter_outside_domain_is_domain_violation(call, name):
     lambda: envelope_inner(np.array([0.2, math.nan])),
     lambda: envelope_outer(math.nan),
     lambda: envelope_outer([0.5, -math.inf]),
+    lambda: disk_objective(ABCTriple(1e308, 1e308, 1e308), 0.9),
+    lambda: envelope_inner(1e100),
+    lambda: envelope_outer(1e100),
+    lambda: envelope_outer([1e200]),
+    lambda: case_functions(1e-200),
+    lambda: case_functions([1e-200]),
 ], ids=["disk_objective_nan", "disk_objective_inf", "petal_map_nan", "petal_map_inf",
         "envelope_inner_nan", "envelope_inner_array", "envelope_outer_nan",
-        "envelope_outer_list"])
+        "envelope_outer_list", "disk_objective_overflow", "envelope_inner_overflow",
+        "envelope_outer_overflow", "envelope_outer_list_overflow", "case_functions_tiny",
+        "case_functions_tiny_array"])
 def test_non_finite_parameter_is_domain_violation(call):
-    # these returned NaN
+    # these returned NaN or inf, warned on the way (the suite turns warnings
+    # into errors), or raised ZeroDivisionError: a finite parameter counts
+    # too where the value overflows, as near case_functions' pole at 0
     with pytest.raises(DomainViolation, match="not finite"):
         call()
 

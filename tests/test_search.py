@@ -125,11 +125,29 @@ def test_maximize_argmax_locations():
     assert math.hypot(rep.argmax["zeta_re"], rep.argmax["zeta_im"]) == pytest.approx(1.0)
 
 
+_RNG_MIN = np.random.default_rng(SEED + 71)
+
+#: Seeded random grids: 2-299 zeta1, 2-59 radial and 2-99 angular steps,
+#: 0-7 refine rounds and a shrink in (0.01, 0.99).
+_RANDOM_GRIDS = [GridSpec(*(int(_RNG_MIN.integers(2, hi)) for hi in (300, 60, 100, 8)),
+                          float(_RNG_MIN.uniform(0.01, 0.99)))
+                 for _ in range(50)]
+
+
 @pytest.mark.parametrize("fid", list(FunctionalId))
 def test_minimize_modulus_reaches_zero(fid):
-    rep = minimize_modulus(fid, COARSE)
-    assert rep.mode == "min"
-    assert abs(rep.observed_max) <= 1e-12
+    # every minimum is read at the identity point, the first node of every
+    # grid: the whole report, each argmax entry a 0.0 without a sign bit,
+    # and samples counting the grid's nodes as for a scan
+    names = (["zeta1", "zeta2_re", "zeta2_im", "zeta3_re", "zeta3_im"] if fid in _FUNCTIONAL
+             else ["p1", "zeta_re", "zeta_im"])
+    for grid in [*_REFERENCE_GRIDS.values(), *_RANDOM_GRIDS]:
+        nodes = (grid.refine_rounds + 1) * grid.zeta1_steps * grid.radial_steps * grid.angular_steps
+        want = {"functional": fid.value, "mode": "min", "objective": "modulus",
+                "observed_max": 0.0, "argmax": dict.fromkeys(names, 0.0),
+                "sharp_bound": SHARP_BOUNDS[fid], "deviation": SHARP_BOUNDS[fid],
+                "samples": nodes, "seed": 5}
+        assert json.dumps(minimize_modulus(fid, grid, seed=5).to_dict()) == json.dumps(want)
 
 
 def test_determinism_and_thread_invariance():
@@ -210,7 +228,7 @@ _TOEPLITZ_CASES = [
 def test_exact_zeta3_elimination_pointwise(fid, kernel):
     # |alpha| + |beta| bounds a fine boundary zeta3 scan from above and is
     # attained at the reported unit-modulus zeta3
-    rows, objective, _, depth, zeta3_at = _objective(fid, GridSpec(), "max", "exact")
+    rows, objective, _, depth, zeta3_at = _objective(fid, GridSpec(), "exact")
     assert depth == 1
     circle = np.exp(2j * math.pi * np.arange(4096) / 4096)
     rng = np.random.default_rng(SEED + 42)
@@ -236,24 +254,18 @@ def _random_rings(seed, m=200):
 
 @pytest.mark.parametrize("fid, kernel", _HANKEL_CASES + _TOEPLITZ_CASES)
 def test_exact_zeta3_min_pointwise(fid, kernel):
-    # max(|alpha| - |beta|, 0) lies below a fine disk zeta3 scan and is
-    # attained at the reported zeta3; the Toeplitz forms are the beta = 0
-    # case, whose minimum is |alpha| at every zeta3, and report none
-    rows, objective, _, _, zeta3_at = _objective(fid, GridSpec(), "min", "exact")
-    assert (zeta3_at is None) == (fid in (FunctionalId.TOEPLITZ_LOG,
-                                          FunctionalId.TOEPLITZ_INVLOG))
-    disk = (np.linspace(0.0, 1.0, 257)[:, None]
-            * np.exp(2j * math.pi * np.arange(256) / 256)).ravel()
-    z1, r, z2 = _random_rings(SEED + 44, 40)
-    x = search._FORMS[fid][2] * z1
-    least = -objective(_columns(rows, x), r, z2)
-    for i, j in np.ndindex(z2.shape):
-        sampled = float(np.abs(kernel(x[i, 0], z2[i, j], disk)).min())
-        assert least[i, j] <= sampled + 1e-15
-        assert sampled - least[i, j] <= 1e-3
-        z3 = 0.0 if zeta3_at is None else complex(zeta3_at(_columns(rows, x[i, 0]), z2[i, j]))
-        assert abs(z3) <= 1.0 + 1e-15
-        assert abs(abs(kernel(x[i, 0], z2[i, j], z3)) - least[i, j]) <= 1e-15
+    # the minimum report's point, the identity function's, is a zero of the
+    # form for every zeta3 of a fine disk grid: by the form's kernel and,
+    # for the Hankel forms, by the independent p-path
+    disk = (np.linspace(0.0, 1.0, 65)[:, None]
+            * np.exp(2j * math.pi * np.arange(64) / 64)).ravel()
+    x, z_re, z_im, *_ = minimize_modulus(fid).argmax.values()
+    assert not np.any(kernel(x, complex(z_re, z_im), disk))
+    if fid in _FUNCTIONAL:
+        from_p = {FunctionalId.HANKEL_LOG: hankel_log_from_p,
+                  FunctionalId.HANKEL_INVLOG: hankel_invlog_from_p}[fid]
+        for z3 in disk[::97]:
+            assert from_p(p_from_zeta(CaratheodoryPoint(x, complex(z_re, z_im), z3))) == 0.0
 
 
 @pytest.mark.parametrize("fid, kernel", _HANKEL_CASES)
@@ -262,7 +274,7 @@ def test_zeta3_oracles_pointwise(fid, kernel):
     grid = GridSpec(radial_steps=5, angular_steps=32)
     z1, r, z2 = _random_rings(SEED + 45)
     for zeta3_mode in ("boundary", "disk"):
-        rows, oracle, _, depth, _ = _objective(fid, grid, "max", zeta3_mode)
+        rows, oracle, _, depth, _ = _objective(fid, grid, zeta3_mode)
         z3_grid = search._zeta3_grid(zeta3_mode, grid)
         assert depth == z3_grid.size
         want = np.abs(kernel(z1[..., None], z2[..., None], z3_grid)).max(axis=-1)
@@ -328,7 +340,7 @@ def test_ring_bound_sound(monkeypatch, fid, kernel):
     # c2 and beta vanish, the bound carries no margin and equals the
     # objective's ring maximum bit for bit
     margin = search._BOUND_MARGIN
-    rows, objective, bound, _, _ = _objective(fid, GridSpec(), "max", "exact")
+    rows, objective, bound, _, _ = _objective(fid, GridSpec(), "exact")
     first, rings = _first_pass_and_random_rings()
     face = (np.array([1.0]),) + first[1:]
     shortfall = 0.0
@@ -405,14 +417,14 @@ _PRUNING_GRIDS = {
 
 @pytest.mark.parametrize("grid_name", _PRUNING_GRIDS)
 def test_pruning_invariance(monkeypatch, grid_name):
-    # a ring bound of +inf prunes no ring; the pruned max and min scans
+    # a ring bound of +inf prunes no ring; the pruned Hankel max scans
     # reproduce those reports byte for byte, ties included (a Toeplitz max
-    # runs no scan: test_toeplitz_max_is_majorant_scan covers it)
+    # and every minimum run no scan: test_toeplitz_max_is_majorant_scan and
+    # test_minimize_modulus_reaches_zero cover them)
     grid = _PRUNING_GRIDS[grid_name]
 
     def reports():
-        return [json.dumps(scan(fid, grid).to_dict())
-                for fid in FunctionalId for scan in (maximize, minimize_modulus)]
+        return [json.dumps(maximize(fid, grid).to_dict()) for fid in _FUNCTIONAL]
 
     pruned = reports()
     scan = search._scan
@@ -476,7 +488,7 @@ def test_toeplitz_modulus_max_pruning(grid_name):
     # included
     grid = _PRUNING_GRIDS[grid_name]
     for fid in (FunctionalId.TOEPLITZ_LOG, FunctionalId.TOEPLITZ_INVLOG):
-        rows, objective, bound, _, _ = _objective(fid, grid, "max", "exact")
+        rows, objective, bound, _, _ = _objective(fid, grid, "exact")
         pruned, unpruned = (_scan_bits(rows, objective, b, 2.0, grid)
                             for b in (bound, search._unbounded))
         assert pruned == unpruned
@@ -504,16 +516,15 @@ def _complex_bits(v):
     return _bits(np.array([complex(v)]).view(float))
 
 
-@pytest.mark.parametrize("mode", ["max", "min"])
 @pytest.mark.parametrize("fid", [FunctionalId.HANKEL_LOG, FunctionalId.HANKEL_INVLOG])
-def test_zeta3_at_matches_column_path(fid, mode):
-    # a report's zeta3, read off a rows column as the scan passes hand it
-    # over, is bit for bit the phase (and, for the minimum, the length) of
-    # the split alpha + beta zeta3 of that column, signed zeros included, at
-    # random points and on the faces; so is the boundary oracle's.  The
-    # column of a one-point axis is bit for bit that of a longer axis
-    rows, _, _, _, zeta3_at = _objective(fid, GridSpec(), mode, "exact")
-    oracle_zeta3 = _objective(fid, GridSpec(), "max", "boundary")[4]
+def test_zeta3_at_matches_column_path(fid):
+    # a max report's zeta3, read off a rows column as the scan passes hand
+    # it over, is bit for bit the phase of the split alpha + beta zeta3 of
+    # that column, signed zeros included, at random points and on the
+    # faces; so is the boundary oracle's.  The column of a one-point axis
+    # is bit for bit that of a longer axis
+    rows, _, _, _, zeta3_at = _objective(fid, GridSpec(), "exact")
+    oracle_zeta3 = _objective(fid, GridSpec(), "boundary")[4]
     z3_grid = search._zeta3_grid("boundary", GridSpec())
     points = _zeta3_points()
     axis = rows(np.array([x for x, _ in points]))
@@ -522,16 +533,10 @@ def test_zeta3_at_matches_column_path(fid, mode):
         assert _bits(p) == _bits(axis[:, i])
         alpha, b = cth._quadratic(p, z), p[3] * cth._beta_r(abs(z))
         a, c = complex(alpha), complex(b)
-        if a == 0.0 or c == 0.0:
-            want = 1.0 if mode == "max" else 0.0
-        else:
-            want = a / abs(a)
-            if mode == "min":
-                want = -want * min(abs(a) / abs(c), 1.0)
+        want = 1.0 if a == 0.0 or c == 0.0 else a / abs(a)
         assert _complex_bits(zeta3_at(axis[:, i], z)) == _complex_bits(want)
-        if mode == "max":
-            want = z3_grid[int(np.argmax(np.abs(alpha + b * z3_grid)))]
-            assert _complex_bits(oracle_zeta3(axis[:, i], z)) == _complex_bits(want)
+        want = z3_grid[int(np.argmax(np.abs(alpha + b * z3_grid)))]
+        assert _complex_bits(oracle_zeta3(axis[:, i], z)) == _complex_bits(want)
 
 
 def _x_rows(x):
@@ -625,24 +630,23 @@ def _count_passes(monkeypatch):
 def test_scan_objective_calls(monkeypatch, grid):
     # the first pass calls the objective at most twice (seed ring, then the
     # other kept rings), a refine pass at most once, never on an empty ring
-    # set; a Toeplitz max, read at the majorant's corner, opens no pass, and
-    # the four max scans of a certify op make at most 5 calls on at most 5
-    # rings in all
+    # set; a Toeplitz max, read at the majorant's corner, and every minimum,
+    # read at the identity point, open no pass, and the four max scans of a
+    # certify op make at most 5 calls on at most 5 rings in all
     passes = _count_passes(monkeypatch)
     max_calls = max_rings = 0
     for fid in FunctionalId:
         for scan in (maximize, minimize_modulus):
             passes.clear()
             scan(fid, grid)
-            if scan is maximize and fid.value.startswith("toeplitz"):
+            if scan is minimize_modulus or fid not in _FUNCTIONAL:
                 assert passes == []
                 continue
             assert len(passes) == grid.refine_rounds + 1
             assert len(passes[0]) <= 2 and all(len(p) <= 1 for p in passes[1:])
             assert all(m >= 1 for p in passes for m in p)
-            if scan is maximize:
-                max_calls += sum(map(len, passes))
-                max_rings += sum(map(sum, passes))
+            max_calls += sum(map(len, passes))
+            max_rings += sum(map(sum, passes))
     assert max_calls <= 5 and max_rings <= 5
 
 
@@ -650,12 +654,11 @@ def _bits(a):
     return np.asarray(a, dtype=float).tobytes()
 
 
-@pytest.mark.parametrize("mode", ["max", "min"])
-def test_pass_rows_bit_equal(monkeypatch, mode):
+def test_pass_rows_bit_equal(monkeypatch):
     # on the default grid's first pass and every refine window, each pass's
     # axis is np.linspace's, its rows are cth._coeffs of its table, and the
     # Hankel rows' beta factor gives the closed-form beta of the old kernels;
-    # the max scans are the Hankel pair's (a Toeplitz max opens no pass)
+    # the scans are the Hankel max pair's (no other report opens a pass)
     build = search._objective
     seen = []
 
@@ -670,22 +673,18 @@ def test_pass_rows_bit_equal(monkeypatch, mode):
     monkeypatch.setattr(search, "_objective", objective)
     grid = GridSpec()
     r = np.linspace(0.0, 1.0, grid.radial_steps)[None, :]
-    for fid in FunctionalId:
-        hankel = fid.value.startswith("hankel")
-        if mode == "max" and not hankel:
-            continue
+    for fid in _FUNCTIONAL:
         seen.clear()
-        (maximize if mode == "max" else minimize_modulus)(fid, grid)
+        maximize(fid, grid)
         assert len(seen) == grid.refine_rounds + 1
         table = search._FORMS[fid][0]
         for x, p in seen:
             assert _bits(x) == _bits(np.linspace(x[0], x[-1], grid.zeta1_steps))
-            assert p.shape == (4 if hankel else 3, grid.zeta1_steps)
+            assert p.shape == (4, grid.zeta1_steps)
             assert _bits(p[:3]) == _bits(cth._coeffs(table, x))
-            if hankel:
-                z1 = x[:, None]
-                want = 12.0 * z1 * (1.0 - z1 * z1) * ((1.0 - r * r) / 144.0)
-                assert _bits(p[3][:, None] * cth._beta_r(r)) == _bits(want)
+            z1 = x[:, None]
+            want = 12.0 * z1 * (1.0 - z1 * z1) * ((1.0 - r * r) / 144.0)
+            assert _bits(p[3][:, None] * cth._beta_r(r)) == _bits(want)
 
 
 _RNG_WINDOWS = np.random.default_rng(SEED + 49)

@@ -8,6 +8,18 @@ import pytest
 from conftest import SEED, random_schlicht, residual
 from petalstar import SchlichtSeries, Series, asinh_series, compose, differentiate
 from petalstar import exp_series, integrate_over_t, log_over_z, preset, revert, rotate
+from petalstar import (
+    a_from_p,
+    hankel2_invlog,
+    hankel2_log,
+    hankel_invlog_from_p,
+    hankel_log_from_p,
+    reduced_p2,
+    toeplitz2_invlog,
+    toeplitz2_log,
+    toeplitz_invlog_from_p,
+    toeplitz_log_from_p,
+)
 from petalstar.errors import (
     DomainViolation,
     NonzeroConstant,
@@ -273,12 +285,30 @@ def test_exp_series_matches_coefficient_loop():
     lambda: S(1e308, 2, 3) + 1e308,
     lambda: S(1e308, 2, 3) - (-1e308),
     lambda: differentiate(S(0, 1e308, 1e308)),
+    lambda: asinh_series(1e200, 1, 5),
+    lambda: asinh_series(1e200j, 1, 5),
+    lambda: asinh_series(np.float64(1e200), 1, 5),
+    lambda: a_from_p((1e200, 0, 0)),
+    lambda: hankel_log_from_p((1e100,) * 3),
+    lambda: hankel_invlog_from_p((1e100,) * 3),
+    lambda: toeplitz_log_from_p(1e100, 1e100),
+    lambda: toeplitz_invlog_from_p(1e100, 1e100),
+    lambda: reduced_p2(1e200, 1),
+    lambda: hankel2_log(SchlichtSeries([0, 1, 1e100, 0, 0])),
+    lambda: hankel2_invlog(SchlichtSeries([0, 1, 1e100, 0, 0])),
+    lambda: toeplitz2_log(SchlichtSeries([0, 1, 1e100, 0, 0])),
+    lambda: toeplitz2_invlog(SchlichtSeries([0, 1, 1e100, 0, 0])),
 ], ids=["exp_series", "revert", "division", "log_over_z", "scalar_zero_division",
         "scalar_product", "scalar_division", "scalar_sum", "scalar_difference",
-        "differentiate"])
+        "differentiate", "asinh_series_real", "asinh_series_imag",
+        "asinh_series_numpy", "a_from_p",
+        "hankel_log_from_p", "hankel_invlog_from_p", "toeplitz_log_from_p",
+        "toeplitz_invlog_from_p", "reduced_p2", "hankel2_log", "hankel2_invlog",
+        "toeplitz2_log", "toeplitz2_invlog"])
 def test_overflow_raises_domain_violation_only(call):
     # the suite turns warnings into errors, so an overflow warning printed on
-    # the way to the DomainViolation would fail here
+    # the way to the DomainViolation would fail here, as would the
+    # OverflowError that Python's ** raises on floats
     with pytest.raises(DomainViolation):
         call()
 
@@ -430,11 +460,12 @@ def test_rotate_law():
     (lambda: S(1, 2) * "x", TypeError),
     (lambda: S(1, 2) / "x", TypeError),
     (lambda: repr(S(1, 2)), "Series(order=1, coeffs="),
+    (lambda: repr(S(1e300)), "Series(order=0, coeffs=array([1.e+300+0.j]))"),
     (lambda: SchlichtSeries.from_tail([0.5, 0.25], order=1),
      SchlichtSeries([0, 1, 0.5, 0.25])),
     (lambda: differentiate(S(5)), S(0)),
     (lambda: rotate(S(1, 2, 3), math.pi / 2), S(-1j, 2, 3j)),
-], ids=["rsub", "mul_scalar", "add_str", "mul_str", "div_str", "repr",
+], ids=["rsub", "mul_scalar", "add_str", "mul_str", "div_str", "repr", "repr_huge",
         "from_tail_low_order", "differentiate_order_0", "rotate_plain"])
 def test_less_travelled_paths(call, want):
     # operand types a series does not take raise TypeError; the rest keep
