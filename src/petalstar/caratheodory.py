@@ -79,8 +79,22 @@ DOMAIN_TOL = 1e-12
 
 def _check_in_disk(name: str, z: complex):
     # negated so that a NaN modulus fails the check too
-    if not abs(z) <= 1.0 + DOMAIN_TOL:
+    try:
+        inside = abs(z) <= 1.0 + DOMAIN_TOL
+    except TypeError:  # not a number
+        raise DomainViolation(f"{name} = {z!r} is not a number") from None
+    if not inside:
         raise DomainViolation(f"|{name}| = {abs(z)} is not at most 1")
+
+
+def _check_interval(name: str, value: float, hi: float):
+    # a real number in [0, hi] within DOMAIN_TOL; negated so that NaN fails too
+    try:
+        inside = -DOMAIN_TOL <= value <= hi + DOMAIN_TOL
+    except TypeError:  # not a real number
+        inside = False
+    if not inside:
+        raise DomainViolation(f"{name} = {value} outside [0, {hi:g}]")
 
 
 @dataclass(frozen=True)
@@ -92,12 +106,7 @@ class CaratheodoryPoint:
     zeta3: complex
 
     def __post_init__(self):
-        try:
-            inside = -DOMAIN_TOL <= self.zeta1 <= 1.0 + DOMAIN_TOL
-        except TypeError:  # not a real number
-            inside = False
-        if not inside:
-            raise DomainViolation(f"zeta1 = {self.zeta1} outside [0, 1]")
+        _check_interval("zeta1", self.zeta1, 1.0)
         _check_in_disk("zeta2", self.zeta2)
         _check_in_disk("zeta3", self.zeta3)
 
@@ -284,8 +293,7 @@ def reduced_p2(p1, zeta):
 
 
 def _check_reduced_domain(p1: float, zeta: complex):
-    if not -DOMAIN_TOL <= p1 <= 2.0 + DOMAIN_TOL:
-        raise DomainViolation(f"p1 = {p1} outside [0, 2]")
+    _check_interval("p1", p1, 2.0)
     _check_in_disk("zeta", zeta)
 
 

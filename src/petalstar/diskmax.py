@@ -30,33 +30,13 @@ last branch is only evaluated when ``A C < 0``, where its argument is ``>= 1``.
 from __future__ import annotations
 
 import math
-from functools import lru_cache, wraps
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import _MAX_POINTS, DomainViolation, _count
+from .errors import _MAX_POINTS, DomainViolation, _count, _finite
 
 __all__ = ["quad_disk_max", "quad_disk_max_grid"]
-
-
-def _finite(maximum):
-    """Both maxima reject non-finite coefficients, and an evaluation that
-    overflows, with :class:`~petalstar.errors.DomainViolation`."""
-
-    @wraps(maximum)
-    def checked(a, b, c, *args, **kwargs):
-        # NaN fails every branch condition and would reach 1 / c^2 with c = 0
-        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
-            raise DomainViolation(f"coefficients must be finite, got ({a}, {b}, {c})")
-        try:
-            value = maximum(a, b, c, *args, **kwargs)
-        except OverflowError:  # float ** raises where * and + return inf
-            value = math.inf
-        if not math.isfinite(value):
-            raise DomainViolation(f"coefficients ({a}, {b}, {c}) overflow the evaluation")
-        return value
-
-    return checked
 
 
 @_finite
@@ -140,5 +120,4 @@ def quad_disk_max_grid(a: float, b: float, c: float,
         np.max(klm[s : s + rings] @ powers, axis=1, out=peaks[s : s + rings])
     # sqrt and + weight are monotone, so each ring's peak gives its maximum;
     # only the scale back overflows, to inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float((np.ldexp(np.sqrt(np.maximum(peaks, 0.0)), e) + weight).max())
+    return float((np.ldexp(np.sqrt(np.maximum(peaks, 0.0)), e) + weight).max())

@@ -74,9 +74,12 @@ def _all_finite(value) -> bool:
 
 def _finite(fn):
     """``fn`` raising :class:`DomainViolation` where its value is not
-    finite: where an argument is not, or where the evaluation overflows.
-    Python's ``**`` raises an overflow and ``/`` a zero divisor where NumPy
-    returns inf or NaN; both end here, and NumPy prints no warning."""
+    finite, or where a float argument is not: NaN fails every comparison,
+    so a branch can return a finite value from it.  The arguments are
+    checked after the call, so that an error ``fn`` raises of its own comes
+    first.  Python's ``**`` raises an overflow and ``/`` a zero divisor
+    where NumPy returns inf or NaN; both end here, and NumPy prints no
+    warning."""
 
     @wraps(fn)
     def checked(*args, **kwargs):
@@ -85,7 +88,8 @@ def _finite(fn):
                 value = fn(*args, **kwargs)
         except (OverflowError, ZeroDivisionError):
             value = math.inf
-        if not _all_finite(value):
+        if not _all_finite(value) or not all(
+                math.isfinite(v) for v in (*args, *kwargs.values()) if isinstance(v, float)):
             shown = ", ".join(map(reprlib.repr, args))
             raise DomainViolation(f"{fn.__name__}({shown}) is not finite: an argument "
                                   f"is not, or the evaluation overflows")

@@ -1,47 +1,47 @@
 """Brute-force certification of the sharp bounds over the parameter domain.
 
-The four second-determinant functionals are certified by scanning their
-parameter domains on product grids and comparing the observed extrema with
-the claimed sharp bounds.  Every scan runs on the same two-dimensional core:
-a first parameter ``x`` on an interval times a point ``zeta`` of the closed
-unit disk on a polar grid, refined around the incumbent.
+The four second-determinant functionals are certified against their
+claimed sharp bounds over their parameter domains: a first parameter ``x``
+on an interval times a point ``zeta`` of the closed unit disk.  Only the
+two Hankel maxima scan, on a product grid with a polar grid of the disk,
+refined around the incumbent; every other extremum is read at the node a
+scan of the grid would report.
 
-All four have one shape in the scan variables, ``alpha(x, zeta) + beta(x,
-|zeta|) zeta3``, with ``alpha = c0 + c1 zeta + c2 zeta^2`` read from the
-functional's coefficient table in :mod:`petalstar.caratheodory`.  Over
-``|zeta3| <= 1`` the modulus peaks at ``|alpha| + beta`` (``zeta3`` lines
-``beta zeta3`` up with ``alpha``), so ``zeta3`` is eliminated in closed
-form.  The bounds are upper bounds; every modulus is 0 at the identity
-function ``f(z) = z``, ``x = 0`` and ``zeta = zeta3 = 0`` (no table's
-``c0`` or ``c1`` has a ``u^0`` term, and ``beta`` has the factor ``x``),
-the first node of every grid, where :func:`minimize_modulus` reads it.
+The two Hankel functionals take ``x = zeta1 in [0, 1]`` and ``zeta =
+zeta2``, and have one shape in the scan variables, ``alpha(x, zeta) +
+beta(x, |zeta|) zeta3``, with ``alpha = c0 + c1 zeta + c2 zeta^2`` read
+from the functional's coefficient table in :mod:`petalstar.caratheodory`
+and ``beta = zeta1 (1 - zeta1^2) (1 - |zeta2|^2) / 12``.  Over ``|zeta3| <=
+1`` the modulus peaks at ``|alpha| + beta`` (``zeta3`` lines ``beta
+zeta3`` up with ``alpha``), so ``maximize`` eliminates ``zeta3`` in closed
+form by default; ``zeta3_mode="boundary"`` and ``"disk"`` instead take the
+largest modulus over a grid of the circle or of the disk in ``zeta3``, and
+are kept as brute-force reference oracles.
 
-* The two Hankel functionals take ``x = zeta1 in [0, 1]``, ``zeta =
-  zeta2`` and ``beta = zeta1 (1 - zeta1^2) (1 - |zeta2|^2) / 12``.
-  ``maximize`` uses the exact elimination by default;
-  ``zeta3_mode="boundary"`` and ``"disk"`` instead take the largest modulus
-  over a grid of the circle or of the disk in ``zeta3``, and are kept as
-  brute-force reference oracles.
+The two Toeplitz functionals take the reduced parameters ``(p1, zeta)``
+with ``p1 in [0, 2]``, and have no ``zeta3``.  Their certified sharp
+bounds bound the term-wise absolute-value majorant of the reduced form, its
+coefficient table taken in absolute value (see
+:func:`~petalstar.caratheodory.toeplitz_log_majorant`), which dominates the
+modulus pointwise and attains the bound at the corner ``(p1, |zeta|) = (2,
+1)``.  That table is nonnegative, so the majorant increases in ``p1`` and
+``|zeta|`` and the corner is its unique maximum over the domain and over
+every grid, whose first pass holds the corner node and whose refine passes
+keep the incumbent on ties.  ``maximize`` therefore reads the majorant at
+the corner instead of scanning it, and records so in the report.  The
+modulus itself stays well below it (its maximum over the domain is 1/4 for
+the log variant); the reduced-form functions in
+:mod:`petalstar.caratheodory` evaluate it.
 
-* The two Toeplitz functionals are the ``beta = 0`` case, in the
-  reduced parameters ``(p1, zeta)`` with ``p1 in [0, 2]``; they have no
-  ``zeta3``.  Their certified sharp bounds bound the term-wise
-  absolute-value majorant of the reduced form, its coefficient table taken
-  in absolute value (see :func:`~petalstar.caratheodory.toeplitz_log_majorant`),
-  which dominates the modulus pointwise and attains the bound at the corner
-  ``(p1, |zeta|) = (2, 1)``.  That table is nonnegative, so the majorant
-  increases in ``p1`` and ``|zeta|`` and the corner is its unique maximum
-  over the domain and over every grid, whose first pass holds the corner
-  node and whose refine passes keep the incumbent on ties.  ``maximize``
-  therefore reads the majorant at the corner instead of scanning it, and
-  records so in the report.  The modulus itself stays well below it (its
-  maximum over the domain is 1/4 for the log variant); the reduced-form
-  functions in :mod:`petalstar.caratheodory` evaluate it.
+The bounds are upper bounds; every modulus is 0 at the identity function
+``f(z) = z``, ``x = 0`` and ``zeta = zeta3 = 0`` (no table's ``c0`` or
+``c1`` has a ``u^0`` term, and ``beta`` has the factor ``x``), the first
+node of every grid, where :func:`minimize_modulus` reads it.
 
-So only the two Hankel maxima and their ``zeta3`` oracles scan.  Each pass
-evaluates the functional's coefficient table once on its ``x`` axis, and
-an upper bound on each ``(x, |zeta|)`` ring, read from those rows, prunes
-the rings the pass need not evaluate, whose objective reads the same rows; :func:`_scan` states the pass contract and
+Each pass of a Hankel scan evaluates the functional's coefficient table
+once on its ``x`` axis, and an upper bound on each ``(x, |zeta|)`` ring,
+read from those rows, prunes the rings the pass need not evaluate, whose
+objective reads the same rows; :func:`_scan` states the pass contract and
 :func:`_objective` builds each scan's rows, objective and bound.  Each
 functional has one record in ``_FORMS`` (table, ``beta``'s ``x`` factor,
 ``x`` range and argmax names) and one path from its identifier to its
@@ -152,7 +152,11 @@ class GridSpec:
             raise DomainViolation(
                 f"(refine_rounds + 1) * zeta1_steps * radial_steps and "
                 f"radial_steps * angular_steps must be at most {_MAX_POINTS}")
-        if not 0.0 < self.refine_shrink < 1.0:
+        try:
+            inside = 0.0 < self.refine_shrink < 1.0
+        except TypeError:  # not a real number
+            inside = False
+        if not inside:
             raise DomainViolation("refine_shrink must lie in (0, 1)")
 
 
@@ -298,11 +302,6 @@ def _zeta3_grid(zeta3_mode: str, grid: GridSpec) -> np.ndarray:
     return (r3[:, None] * np.exp(1j * t3)[None, :]).ravel()
 
 
-def _zero(_p, _r):
-    """The ``beta`` of the Toeplitz forms, which have no ``zeta3``."""
-    return 0.0
-
-
 def _unbounded(_p, _r):
     """Ring bound of the max oracles, which evaluate every ring."""
     return math.inf
@@ -321,39 +320,33 @@ _FORMS = {
 
 
 def _objective(functional: FunctionalId, grid: GridSpec, zeta3_mode: str):
-    """The rows, objective and ring bound of one max scan for :func:`_scan`.
+    """The rows, objective and ring bound of one Hankel max scan for
+    :func:`_scan`; a Toeplitz max runs no scan.
 
     Returns ``(rows, objective, bound, depth, zeta3_at)``: ``bound`` is the
     ring bound (``+inf`` for the oracles), ``depth`` counts the ``zeta3``
     points per grid node, and ``zeta3_at(column, zeta)`` is the ``zeta3`` at
-    which the objective's value is attained, ``None`` for a form without
-    ``zeta3``.  ``rows(x)`` evaluates the coefficient table of
-    ``_FORMS[functional]`` once per pass, bit-equal to ``cth._coeffs``, and
-    for the Hankel forms writes ``beta``'s ``x`` factor as a fourth row;
+    which the objective's value is attained.  ``rows(x)`` evaluates the
+    coefficient table of ``_FORMS[functional]`` once per pass, bit-equal to
+    ``cth._coeffs``, and writes ``beta``'s ``x`` factor as a fourth row;
     every objective reads the form ``alpha + beta zeta3`` from those rows,
-    with ``beta``'s ``r`` factor taken once per ring.  The objective, a
-    Hankel one (a Toeplitz max runs no scan), is ``|alpha| + beta``, bounded
-    by ``|c0| + |c1| r + |c2| r^2 + beta`` plus :data:`_BOUND_MARGIN`; its
-    oracles keep a running maximum of ``|alpha + beta zeta3|`` over their
-    ``zeta3`` points.  ``zeta3_at`` splits the rows column :func:`_scan`
-    returns as the objectives do.
+    with ``beta``'s ``r`` factor taken once per ring.  The objective is
+    ``|alpha| + beta``, bounded by ``|c0| + |c1| r + |c2| r^2 + beta`` plus
+    :data:`_BOUND_MARGIN`; its oracles keep a running maximum of
+    ``|alpha + beta zeta3|`` over their ``zeta3`` points.  ``zeta3_at``
+    splits the rows column :func:`_scan` returns as the objectives do.
     """
     table, beta_x, _, _ = _FORMS[functional]
     coeffs = cth._coeff_rows(table)
-    if beta_x is None:
-        rows, beta = coeffs, _zero
-    else:
-        def rows(x):
-            p = np.empty((4, x.size))
-            coeffs(x, out=p[:3])
-            p[3] = beta_x(x)
-            return p
 
-        def beta(p, r):
-            return p[3] * cth._beta_r(r)
+    def rows(x):
+        p = np.empty((4, x.size))
+        coeffs(x, out=p[:3])
+        p[3] = beta_x(x)
+        return p
 
     def split(p, r, z):
-        return cth._quadratic(p, z), beta(p, r)
+        return cth._quadratic(p, z), p[3] * cth._beta_r(r)
 
     if zeta3_mode != "exact":
         z3_grid = _zeta3_grid(zeta3_mode, grid)
@@ -374,15 +367,14 @@ def _objective(functional: FunctionalId, grid: GridSpec, zeta3_mode: str):
 
     def bound(p, r):
         # one matrix product of the rows' moduli with the radius block (1, r,
-        # r^2 and, for the Hankel rows, beta's r factor); the margin, added to
-        # |c0| where a row past it is nonzero, covers its rounding too
+        # r^2, beta's r factor); the margin, added to |c0| where a row past
+        # it is nonzero, covers its rounding too
         moduli = np.abs(p[:, :, 0])
         np.add(moduli[0], _BOUND_MARGIN, out=moduli[0], where=moduli[1:].any(axis=0))
-        block = np.empty((len(p), r.size))
+        block = np.empty((4, r.size))
         block[0], block[1] = 1.0, r
         np.multiply(r, r, out=block[2])
-        if len(p) > 3:
-            block[3] = cth._beta_r(r)
+        block[3] = cth._beta_r(r)
         return moduli.T @ block
 
     def zeta3_at(p, z):
@@ -392,7 +384,7 @@ def _objective(functional: FunctionalId, grid: GridSpec, zeta3_mode: str):
         # the unit phase lining beta zeta3 (beta > 0) up with alpha
         return alpha / abs(alpha)
 
-    return rows, objective, bound, 1, None if beta_x is None else zeta3_at
+    return rows, objective, bound, 1, zeta3_at
 
 
 def _report(functional, grid: GridSpec, mode: str, seed: int,
@@ -506,8 +498,13 @@ def envelope_check(step: float = 1e-4) -> dict:
       :func:`case_functions` call on the 999 points of a 1e-3 grid.
     """
     root = _bisect(lambda t: cth.case_functions(t).t6, 0.05, 0.95)
-    # NaN fails too; a step beyond the root leaves the inner grid empty
-    if not 0.0 < step <= root:
+    # NaN fails too, and so does a step that is not a real number; a step
+    # beyond the root leaves the inner grid empty
+    try:
+        inside = 0.0 < step <= root
+    except TypeError:
+        inside = False
+    if not inside:
         raise DomainViolation(f"step = {step} must lie in (0, {root}]")
     peak_loc = cth.ENVELOPE_INNER_PEAK
     peak_val = cth.envelope_inner(peak_loc)

@@ -76,9 +76,17 @@ _NAN = float("nan")
     lambda: toeplitz_log_reduced(1.0, _NAN),
     lambda: disk_objective(ABCTriple(1.0, 0.0, 1.0), _NAN),
     lambda: class_check(preset("f0", 6), [_NAN]),
-], ids=["point-zeta2", "point-zeta3", "toeplitz-reduced", "disk-objective", "class-check"])
+    lambda: toeplitz_log_reduced(1j, 0),
+    lambda: toeplitz_log_reduced(None, 0),
+    lambda: toeplitz_log_reduced(1.0, "a"),
+    lambda: CaratheodoryPoint(0.5, "a", 0),
+    lambda: disk_objective(ABCTriple(1, 0, 0), "a"),
+], ids=["point-zeta2", "point-zeta3", "toeplitz-reduced", "disk-objective", "class-check",
+        "toeplitz-reduced-complex-p1", "toeplitz-reduced-none-p1", "toeplitz-reduced-str-zeta",
+        "point-str-zeta2", "disk-objective-str"])
 def test_nan_fails_domain_checks(call):
-    # "abs(z) > 1 + tol" is False for NaN; the checks must reject it anyway
+    # "abs(z) > 1 + tol" is False for NaN; the checks must reject it anyway,
+    # and a parameter of the wrong type too
     with pytest.raises(DomainViolation):
         call()
 

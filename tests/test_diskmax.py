@@ -195,8 +195,8 @@ def test_ring_identity_matches_complex_kernel():
 
 
 def test_ring_identity_wide_rings():
-    # a half ring wider than one block splits into part rings; the first
-    # triple's maximum sits at t = pi, in the last part
+    # a half ring wider than one block is a block alone, one ring per
+    # block; the first triple's maximum sits at t = pi, the ring's last node
     assert 40000 // 2 + 1 > diskmax._ORACLE_BLOCK
     for abc in [(0.3, -1.1, 0.8), (-0.5, 0.2, 1.4)]:
         for radial, angular in [(3, 40000), (2, 2 * diskmax._ORACLE_BLOCK + 6)]:
